@@ -25,9 +25,8 @@ rule replicates obliviously.
   hurting completions, with per-member accounting conserved.
 * **E18c** — dependability of the mechanisms: byte-identical seeded
   replays and zero conservation-invariant violations
-  (:class:`~repro.chaos.invariants.TaskConservation` +
-  :class:`~repro.chaos.invariants.DagConservation` +
-  :class:`~repro.chaos.invariants.ServingConservation`) while the chaos
+  (:class:`~repro.chaos.invariants.Conservation` over the cloud, the
+  DAG scheduler and the gateway) while the chaos
   schedule and the overload are live.
 """
 
@@ -36,12 +35,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import render_table
-from repro.chaos.invariants import (
-    DagConservation,
-    InvariantSuite,
-    ServingConservation,
-    TaskConservation,
-)
+from repro.chaos.invariants import Conservation, InvariantSuite
 from repro.core import BackoffPolicy, BacklogEstimator, ResourceOffer, VehicularCloud
 from repro.core.handover import DropPolicy
 from repro.core.tasks import reset_task_ids
@@ -207,9 +201,9 @@ def _run_capacity_scenario(intensity: float, load: float, config: str, seed: int
 
     suite = InvariantSuite(
         [
-            TaskConservation(cloud),
-            DagConservation(scheduler),
-            ServingConservation(gateway),
+            Conservation(cloud),
+            Conservation(scheduler),
+            Conservation(gateway),
         ],
         metrics=world.metrics,
     )
@@ -414,7 +408,7 @@ def _run_batching_scenario(batched: bool, seed: int = 1805):
             ),
             label="serve-submit",
         )
-    suite = InvariantSuite([ServingConservation(gateway)], metrics=world.metrics)
+    suite = InvariantSuite([Conservation(gateway)], metrics=world.metrics)
     suite.attach(world, check_interval_s=0.5)
     world.run_for(BATCH_HORIZON_S)
     gateway.stop()

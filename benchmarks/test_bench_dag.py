@@ -38,8 +38,8 @@ the dependability story on their own.
   than injected crashes.
 * **E17c** — dependability of the mechanism itself: byte-identical
   seeded replays, and zero conservation-invariant violations
-  (:class:`~repro.chaos.invariants.DagConservation` +
-  :class:`~repro.chaos.invariants.TaskConservation`) while the chaos
+  (:class:`~repro.chaos.invariants.Conservation` over the scheduler and
+  the cloud) while the chaos
   schedule is live.
 """
 
@@ -48,7 +48,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import render_table
-from repro.chaos.invariants import DagConservation, InvariantSuite, TaskConservation
+from repro.chaos.invariants import Conservation, InvariantSuite
 from repro.core import (
     BackoffPolicy,
     DynamicVCloud,
@@ -181,7 +181,7 @@ def _run_dag_scenario(intensity: float, config: str, seed: int = 1701):
     FaultInjector(world, plan, cloud=cloud).arm()
 
     suite = InvariantSuite(
-        [TaskConservation(cloud), DagConservation(scheduler)], metrics=world.metrics
+        [Conservation(cloud), Conservation(scheduler)], metrics=world.metrics
     )
     suite.attach(world, check_interval_s=1.0)
     world.run_for(HORIZON_S)
@@ -359,7 +359,7 @@ def _run_mobile_dag(seed: int):
         checkpointing=True,
     )
     suite = InvariantSuite(
-        [TaskConservation(cloud), DagConservation(scheduler)], metrics=world.metrics
+        [Conservation(cloud), Conservation(scheduler)], metrics=world.metrics
     )
     suite.attach(world, check_interval_s=1.0)
     for index in range(MOBILE_GRAPHS):

@@ -19,8 +19,8 @@ a deliberately uncomfortable substrate:
   both single-tier baselines drop below 80%, tiered speculation stays
   at or above 95% — the WAN dying costs latency, never deadline safety.
 * **E20b** — dependability: byte-identical seeded replays and zero
-  :class:`~repro.chaos.invariants.TierConservation` /
-  :class:`~repro.chaos.invariants.TaskConservation` violations while
+  ``tier-conservation`` / ``task-conservation``
+  (:class:`~repro.chaos.invariants.Conservation`) violations while
   the outage schedule is live.
 """
 
@@ -29,7 +29,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import render_table
-from repro.chaos.invariants import InvariantSuite, TaskConservation, TierConservation
+from repro.chaos.invariants import Conservation, InvariantSuite
 from repro.core import ResourceOffer, Task, VehicularCloud
 from repro.core.tasks import reset_task_ids
 from repro.faults.backhaul import BackhaulFaultDriver
@@ -138,7 +138,7 @@ def _run_tier_scenario(mode: str, profile_name: str, seed: int = SEED):
     driver.arm()
 
     suite = InvariantSuite(
-        [TaskConservation(cloud), TierConservation(offloader)],
+        [Conservation(cloud), Conservation(offloader)],
         metrics=world.metrics,
     )
     suite.attach(world, check_interval_s=0.5)

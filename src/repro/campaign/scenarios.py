@@ -21,16 +21,13 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from ..chaos.generator import ChaosProfile, ChaosTargets
 from ..chaos.invariants import (
     ChannelConservation,
-    DagConservation,
+    Conservation,
     Invariant,
     LeaseExclusivity,
     MembershipAgreement,
     QuorumSafety,
-    ServingConservation,
     SingleHead,
     StrandedTasks,
-    TaskConservation,
-    TierConservation,
 )
 from ..chaos.scenarios import (
     attach_stack,
@@ -160,7 +157,7 @@ def _mobile_invariants(
 ) -> List[Invariant]:
     """The chaos suite's invariant set with mobile convergence windows."""
     return [
-        TaskConservation(cloud),
+        Conservation(cloud),
         LeaseExclusivity(cloud),
         SingleHead(cloud, external_heads=tuple(external_heads)),
         MembershipAgreement(cloud, convergence_s=2.0),
@@ -265,7 +262,7 @@ def _build_tiered(spec: RunSpec) -> CampaignScenario:
     offloader = TieredOffloader(world, topology, name="campaign")
     base.offloader = offloader
     base.backhaul_link = link
-    base.invariants.append(TierConservation(offloader))
+    base.invariants.append(Conservation(offloader))
 
     def vector() -> Dict[str, float]:
         stats = offloader.stats
@@ -436,7 +433,7 @@ def _attach_serving(spec: RunSpec, scenario: CampaignScenario) -> None:
         }
 
     scenario.gateway = gateway
-    scenario.invariants.append(ServingConservation(gateway))
+    scenario.invariants.append(Conservation(gateway))
     scenario.vector_sources.append(vector)
 
 
@@ -487,7 +484,7 @@ def _attach_dag(spec: RunSpec, scenario: CampaignScenario) -> None:
         }
 
     scenario.dag_scheduler = scheduler
-    scenario.invariants.append(DagConservation(scheduler))
+    scenario.invariants.append(Conservation(scheduler))
     scenario.vector_sources.append(vector)
 
 

@@ -8,10 +8,11 @@ modes; this package probes *unchosen* ones:
 * :mod:`.generator` samples seeded, randomized fault campaigns from a
   weighted grammar over every fault family, scaled to world size and
   run length;
-* :mod:`.invariants` defines cross-subsystem safety invariants (task
-  conservation, lease exclusivity, single-head, quorum safety,
-  membership agreement, channel conservation, stranded tasks, DAG
-  conservation) checked continuously while faults fire;
+* :mod:`.invariants` defines cross-subsystem safety invariants (one
+  declared-ledger conservation check for tasks, serving, DAGs and
+  tiers, lease exclusivity, single-head, quorum safety, membership
+  agreement, channel conservation, stranded tasks) checked
+  continuously while faults fire;
 * :mod:`.runner` executes campaigns and, on violation, captures a
   reproducer bundle and delta-debugs (:mod:`.minimize`) the fault
   schedule down to a minimal failing subset that replays
@@ -41,17 +42,14 @@ from .generator import (
 from .invariants import (
     ChannelConservation,
     ClusterExclusivity,
-    DagConservation,
+    Conservation,
     Invariant,
     InvariantSuite,
     LeaseExclusivity,
     MembershipAgreement,
     QuorumSafety,
-    ServingConservation,
     SingleHead,
     StrandedTasks,
-    TaskConservation,
-    TierConservation,
     Violation,
 )
 from .minimize import ddmin
@@ -79,7 +77,7 @@ __all__ = [
     "ChaosScenario",
     "ChaosTargets",
     "ClusterExclusivity",
-    "DagConservation",
+    "Conservation",
     "DEFAULT_WEIGHTS",
     "Invariant",
     "InvariantSuite",
@@ -89,11 +87,8 @@ __all__ = [
     "ReproducerBundle",
     "RunResult",
     "ScenarioFactory",
-    "ServingConservation",
     "SingleHead",
     "StrandedTasks",
-    "TaskConservation",
-    "TierConservation",
     "Violation",
     "campaign_size",
     "ddmin",

@@ -12,9 +12,19 @@ which never reorder other same-time events relative to each other).
 The library covers the safety properties the paper's dependability
 section (§V.A) asks of a vehicular cloud:
 
-* :class:`TaskConservation` — no task completes twice or is silently
-  lost (``submitted = completed + failed + in-flight``, ledger counters
-  agree with record states);
+* :class:`Conservation` — one invariant for every ledger that declares
+  its balance equations next to its ``accounting()``: the v-cloud's
+  task stream (``task-conservation``: ``submitted = completed + failed
+  + in-flight``, counters agree with record states), the serving
+  gateway's request stream (``serving-conservation``), the DAG
+  scheduler's graph and replica streams (``dag-conservation``) and the
+  tiered offloader's task and attempt streams (``tier-conservation``).
+  Every declared ``lhs == sum(rhs)`` holds, no ledger value is
+  negative, and for owners that race redundant attempts (hedges, stage
+  replicas, cross-tier speculation) every
+  :class:`~repro.core.race.Race` passes its audit — at most one
+  uncancelled winner, no completed race without a winner, no resolved
+  race with a loser neither terminal nor cancel-requested;
 * :class:`LeaseExclusivity` — at most one live execution per worker,
   every execution on a leased current member;
 * :class:`SingleHead` — exactly one coordinator, and it is a member
@@ -29,21 +39,7 @@ section (§V.A) asks of a vehicular cloud:
   conservation law and in-flight frames reconcile exactly against the
   engine queue;
 * :class:`StrandedTasks` — a crash-frozen execution is recovered within
-  a grace window instead of hanging forever;
-* :class:`ServingConservation` — the serving gateway's request stream
-  balances (``offered = admitted + rejected``;
-  ``admitted = completed + failed + shed + queued + in-flight``), so
-  load shedding and hedging never lose a request silently;
-* :class:`DagConservation` — the DAG scheduler's graph and replica
-  streams balance (every submitted graph is completed, failed or
-  running; every stage replica ever submitted is completed, failed or
-  live on the cloud), extending task conservation to subtasks so
-  replication and first-result-wins cancellation never leak work;
-* :class:`TierConservation` — the tiered offloader's task and attempt
-  streams balance across tiers: every speculated task resolves to
-  exactly one winner with all losing replicas cancelled, failed, or
-  flagged late, so cross-tier speculation over a lossy backhaul never
-  double-completes or silently drops a task.
+  a grace window instead of hanging forever.
 """
 
 from __future__ import annotations
@@ -124,40 +120,40 @@ def _violation(name: str, now: float, message: str) -> Violation:
     return Violation(invariant=name, time=now, message=message)
 
 
-class TaskConservation:
-    """No task is double-counted or silently lost."""
+class Conservation:
+    """No unit of work is double-counted or silently lost by ``owner``.
 
-    name = "task-conservation"
+    ``owner`` declares ``conservation_name`` (the invariant name),
+    ``balances`` — ``(lhs, rhs_terms[, note])`` equations over the keys
+    of its ``accounting()`` — and, when it races redundant attempts, a
+    ``races()`` iterator of ``(label, race)`` pairs.
+    """
 
-    def __init__(self, cloud) -> None:
-        self.cloud = cloud
+    def __init__(self, owner) -> None:
+        self.owner = owner
+        self.name: str = owner.conservation_name
 
     def check(self, now: float) -> List[Violation]:
-        acc = self.cloud.accounting()
+        acc = self.owner.accounting()
         out: List[Violation] = []
-        if acc["submitted"] != acc["records"]:
+        for lhs, rhs, *note in self.owner.balances:
+            total = sum(acc[term] for term in rhs)
+            if acc[lhs] != total:
+                terms = " + ".join(f"{term} {acc[term]}" for term in rhs)
+                why = f" ({note[0]})" if note else ""
+                out.append(_violation(
+                    self.name, now, f"{lhs} {acc[lhs]} != {terms}{why}"
+                ))
+        negative = [f"{key} {value}" for key, value in acc.items() if value < 0]
+        if negative:
             out.append(_violation(
-                self.name, now,
-                f"submitted counter {acc['submitted']} != ledgered records {acc['records']}",
+                self.name, now, f"negative ledger values: {', '.join(negative)}"
             ))
-        if acc["completed"] != acc["records_completed"]:
-            out.append(_violation(
-                self.name, now,
-                f"completed counter {acc['completed']} != completed records "
-                f"{acc['records_completed']} (double completion or silent loss)",
-            ))
-        if acc["failed"] != acc["records_failed"]:
-            out.append(_violation(
-                self.name, now,
-                f"failed counter {acc['failed']} != failed records {acc['records_failed']}",
-            ))
-        balance = acc["completed"] + acc["failed"] + acc["records_in_flight"]
-        if acc["submitted"] != balance:
-            out.append(_violation(
-                self.name, now,
-                f"submitted {acc['submitted']} != completed {acc['completed']} "
-                f"+ failed {acc['failed']} + in-flight {acc['records_in_flight']}",
-            ))
+        races = getattr(self.owner, "races", None)
+        if races is not None:
+            for label, race in races():
+                for problem in race.audit():
+                    out.append(_violation(self.name, now, f"{label}: {problem}"))
         return out
 
 
@@ -430,188 +426,5 @@ class StrandedTasks:
                     self.name, now,
                     f"task {task_id} frozen on crashed worker {worker} for "
                     f"{age:.1f}s with no recovery (grace {self.grace_s:.1f}s)",
-                ))
-        return out
-
-
-class ServingConservation:
-    """No serving request leaks out of the gateway without a typed outcome.
-
-    The serving-layer extension of :class:`TaskConservation`: at any
-    instant ``offered = admitted + rejected`` and
-    ``admitted = completed + failed + shed + queued + in-flight``.  A
-    mismatch means a request was double-counted or dropped silently —
-    exactly the bug class load shedding, hedging and small-task
-    batching can introduce (a shed victim also dispatched, a hedge
-    loser finalized twice, a batch member finalized with the wrong
-    multiplicity).  In-flight counts *requests*, not cloud dispatches:
-    a coalesced batch holds one cloud task but each member stays an
-    admitted request until the batch reaches a terminal state.
-    """
-
-    name = "serving-conservation"
-
-    def __init__(self, gateway) -> None:
-        self.gateway = gateway
-
-    def check(self, now: float) -> List[Violation]:
-        acc = self.gateway.accounting()
-        out: List[Violation] = []
-        if acc["offered"] != acc["admitted"] + acc["rejected"]:
-            out.append(_violation(
-                self.name, now,
-                f"offered {acc['offered']} != admitted {acc['admitted']} "
-                f"+ rejected {acc['rejected']}",
-            ))
-        balance = (
-            acc["completed"] + acc["failed"] + acc["shed"]
-            + acc["queued"] + acc["inflight"]
-        )
-        if acc["admitted"] != balance:
-            out.append(_violation(
-                self.name, now,
-                f"admitted {acc['admitted']} != completed {acc['completed']} "
-                f"+ failed {acc['failed']} + shed {acc['shed']} "
-                f"+ queued {acc['queued']} + in-flight {acc['inflight']}",
-            ))
-        return out
-
-
-class DagConservation:
-    """No graph or stage replica leaks out of the DAG scheduler.
-
-    The subtask extension of :class:`TaskConservation`: at any instant
-    every submitted graph is completed, failed or running (counters
-    agreeing with record states), and every stage replica ever handed to
-    the cloud is completed, failed or still live — so k-of-n
-    replication, first-result-wins cancellation, whole-graph restarts
-    and lost-frontier re-execution cannot silently drop or double-count
-    a unit of work.
-    """
-
-    name = "dag-conservation"
-
-    def __init__(self, scheduler) -> None:
-        self.scheduler = scheduler
-
-    def check(self, now: float) -> List[Violation]:
-        acc = self.scheduler.accounting()
-        out: List[Violation] = []
-        if acc["graphs_submitted"] != acc["graph_records"]:
-            out.append(_violation(
-                self.name, now,
-                f"submitted counter {acc['graphs_submitted']} != ledgered "
-                f"graph records {acc['graph_records']}",
-            ))
-        if acc["graphs_completed"] != acc["records_completed"]:
-            out.append(_violation(
-                self.name, now,
-                f"completed counter {acc['graphs_completed']} != completed "
-                f"records {acc['records_completed']} (double completion or "
-                f"silent loss)",
-            ))
-        if acc["graphs_failed"] != acc["records_failed"]:
-            out.append(_violation(
-                self.name, now,
-                f"failed counter {acc['graphs_failed']} != failed records "
-                f"{acc['records_failed']}",
-            ))
-        graph_balance = (
-            acc["graphs_completed"] + acc["graphs_failed"] + acc["records_running"]
-        )
-        if acc["graphs_submitted"] != graph_balance:
-            out.append(_violation(
-                self.name, now,
-                f"graphs submitted {acc['graphs_submitted']} != completed "
-                f"{acc['graphs_completed']} + failed {acc['graphs_failed']} "
-                f"+ running {acc['records_running']}",
-            ))
-        replica_balance = (
-            acc["replicas_completed"] + acc["replicas_failed"] + acc["replicas_live"]
-        )
-        if acc["replicas_submitted"] != replica_balance:
-            out.append(_violation(
-                self.name, now,
-                f"replicas submitted {acc['replicas_submitted']} != completed "
-                f"{acc['replicas_completed']} + failed {acc['replicas_failed']} "
-                f"+ live {acc['replicas_live']}",
-            ))
-        if acc["replicas_live"] != acc["replica_index"]:
-            out.append(_violation(
-                self.name, now,
-                f"live replicas on stages {acc['replicas_live']} != replica "
-                f"index entries {acc['replica_index']}",
-            ))
-        return out
-
-class TierConservation:
-    """No task or speculative replica leaks out of the tiered offloader.
-
-    The cross-tier extension of :class:`TaskConservation`: at any
-    instant ``submitted = completed + failed + live`` at the task level,
-    ``attempts = won + cancelled + failed + late + live`` at the replica
-    level, ``completed == attempts won`` (exactly one winner per
-    resolved task), and per task no resolved speculation holds more than
-    one uncancelled completion or any loser left neither terminal nor
-    cancelled.  A mismatch means first-result-wins across a lossy
-    backhaul double-counted a result or dropped a replica silently.
-    """
-
-    name = "tier-conservation"
-
-    def __init__(self, offloader) -> None:
-        self.offloader = offloader
-
-    def check(self, now: float) -> List[Violation]:
-        acc = self.offloader.accounting()
-        out: List[Violation] = []
-        if acc["submitted"] != acc["completed"] + acc["failed"] + acc["live"]:
-            out.append(_violation(
-                self.name, now,
-                f"tasks submitted {acc['submitted']} != completed "
-                f"{acc['completed']} + failed {acc['failed']} + live {acc['live']}",
-            ))
-        if acc["live"] < 0 or acc["attempts_live"] < 0:
-            out.append(_violation(
-                self.name, now,
-                f"negative live counts (tasks {acc['live']}, "
-                f"attempts {acc['attempts_live']})",
-            ))
-        attempt_balance = (
-            acc["attempts_won"] + acc["attempts_cancelled"]
-            + acc["attempts_failed"] + acc["attempts_late"] + acc["attempts_live"]
-        )
-        if acc["attempts_submitted"] != attempt_balance:
-            out.append(_violation(
-                self.name, now,
-                f"attempts submitted {acc['attempts_submitted']} != won "
-                f"{acc['attempts_won']} + cancelled {acc['attempts_cancelled']} "
-                f"+ failed {acc['attempts_failed']} + late {acc['attempts_late']} "
-                f"+ live {acc['attempts_live']}",
-            ))
-        if acc["completed"] != acc["attempts_won"]:
-            out.append(_violation(
-                self.name, now,
-                f"completed tasks {acc['completed']} != winning attempts "
-                f"{acc['attempts_won']} (a task must have exactly one winner)",
-            ))
-        for entry in self.offloader.speculation_view():
-            if entry["winners"] > 1:
-                out.append(_violation(
-                    self.name, now,
-                    f"task {entry['task_id']} has {entry['winners']} uncancelled "
-                    f"winners",
-                ))
-            if entry["resolved"] and entry["outcome"] == "completed" and entry["winners"] == 0:
-                out.append(_violation(
-                    self.name, now,
-                    f"task {entry['task_id']} resolved completed without a winner",
-                ))
-            if entry["unreconciled"]:
-                out.append(_violation(
-                    self.name, now,
-                    f"task {entry['task_id']} resolved with "
-                    f"{entry['unreconciled']} losers neither terminal nor "
-                    f"cancelled",
                 ))
         return out

@@ -45,7 +45,7 @@ from .invariants import (
     QuorumSafety,
     SingleHead,
     StrandedTasks,
-    TaskConservation,
+    Conservation,
 )
 
 __all__ = [
@@ -147,7 +147,7 @@ def standard_invariants(
     stranded_grace_s: float = 12.0,
 ) -> List[Invariant]:
     return [
-        TaskConservation(cloud),
+        Conservation(cloud),
         LeaseExclusivity(cloud),
         SingleHead(cloud, external_heads=external_heads),
         MembershipAgreement(cloud),
@@ -234,7 +234,7 @@ def dynamic_scenario(seed: int, hardened: bool = True, vehicles: int = 12):
     # interval; give agreement a convergence window and stranded tasks
     # extra grace for handover-in-progress.
     invariants: List[Invariant] = [
-        TaskConservation(cloud),
+        Conservation(cloud),
         LeaseExclusivity(cloud),
         SingleHead(cloud),
         MembershipAgreement(cloud, convergence_s=2.0),
@@ -279,7 +279,7 @@ def infrastructure_scenario(seed: int, hardened: bool = True, vehicles: int = 14
     task_stream(world, cloud)
     storage_workload(world, cloud)
     invariants: List[Invariant] = [
-        TaskConservation(cloud),
+        Conservation(cloud),
         LeaseExclusivity(cloud),
         SingleHead(cloud, external_heads=(rsus[0].node_id,)),
         MembershipAgreement(cloud, convergence_s=2.0),
@@ -306,7 +306,7 @@ def overload_scenario(seed: int, hardened: bool = True, members: int = 8):
     shedding *while* the chaos campaign injects faults — the regime in
     which request-accounting bugs (a shed victim also dispatched, a
     hedge loser finalized twice) would surface.
-    :class:`~.invariants.ServingConservation` holds the gateway to its
+    :class:`~.invariants.Conservation` holds the gateway to its
     conservation law throughout.
     """
     from ..serve import (
@@ -322,7 +322,7 @@ def overload_scenario(seed: int, hardened: bool = True, members: int = 8):
         TenantSpec,
         WorkloadGenerator,
     )
-    from .invariants import ServingConservation
+    from .invariants import Conservation
     from .runner import ChaosScenario
 
     world = World(ScenarioConfig(seed=seed))
@@ -374,7 +374,7 @@ def overload_scenario(seed: int, hardened: bool = True, members: int = 8):
     WorkloadGenerator(world, gateway, tenants, horizon_s=600.0).start()
     storage_workload(world, cloud)
     invariants = standard_invariants(cloud, world, checker)
-    invariants.append(ServingConservation(gateway))
+    invariants.append(Conservation(gateway))
     return ChaosScenario(
         world=world,
         invariants=invariants,

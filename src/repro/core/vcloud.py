@@ -950,14 +950,6 @@ class VehicularCloud:
 
     # -- introspection -------------------------------------------------------------
 
-    def running_tasks(self) -> List[TaskRecord]:
-        """Records currently assigned or running."""
-        return [
-            r
-            for r in self.records
-            if r.state in (TaskState.ASSIGNED, TaskState.RUNNING)
-        ]
-
     def member_count(self) -> int:
         """Current member count."""
         return len(self.membership)
@@ -988,6 +980,15 @@ class VehicularCloud:
             max(0.0, execution.started_at + execution.runtime_s - now)
             for execution in self._executions.values()
         )
+
+    #: Invariant name and balance equations over :meth:`accounting`.
+    conservation_name = "task-conservation"
+    balances = (
+        ("submitted", ("records",)),
+        ("completed", ("records_completed",), "double completion or silent loss"),
+        ("failed", ("records_failed",)),
+        ("submitted", ("completed", "failed", "records_in_flight")),
+    )
 
     def accounting(self) -> Dict[str, int]:
         """Task-stream conservation counters, surfaced for invariants.

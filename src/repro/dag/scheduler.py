@@ -10,8 +10,10 @@ allocator/lease machinery, and makes the execution survive worker churn:
   :class:`~repro.dag.redundancy.RedundancyPlanner` for a k-of-n replica
   count; replicas are anti-affine (a
   :class:`~repro.core.scheduler.GatedAllocator` gate keeps siblings off
-  the same worker), first acceptable result wins, and losers retire
-  through the cloud's typed ``cancel`` path as ``replica_cancelled``.
+  the same worker), and each stage dispatch races its replicas in one
+  :class:`~repro.core.race.Race`: first acceptable result wins, losers
+  retire through the cloud's typed ``cancel`` path as
+  ``replica_cancelled``.
 * **Checkpointed recovery** — a completed stage's intermediate output is
   checkpointed into the cloud's replicated quorum store, so a crashed or
   departed worker costs re-execution of only the lost frontier (the
@@ -28,8 +30,9 @@ allocator/lease machinery, and makes the execution survive worker churn:
   ``dag.stage`` child spans parent the cloud's ``task.lifecycle``
   spans, so a trace walks submit → stage → replica → fault).
 
-Conservation contract (checked by the chaos
-``DagConservation`` invariant): at any sim instant
+Conservation contract (:attr:`DagScheduler.balances`, checked by the
+chaos ``Conservation`` invariant as ``dag-conservation`` together with
+every stage race's audit): at any sim instant
 ``graphs_submitted == graphs_completed + graphs_failed + running`` and
 ``replicas_submitted == replicas_completed + replicas_failed + live``.
 """
@@ -37,9 +40,10 @@ Conservation contract (checked by the chaos
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..core.capacity import BacklogEstimator
+from ..core.race import CANCELLED, FAILED, Race
 from ..core.scheduler import GatedAllocator, WorkerCandidate, candidates_from_pool
 from ..core.tasks import Task, TaskRecord, TaskState
 from ..core.vcloud import VehicularCloud
@@ -63,14 +67,28 @@ class _StageRun:
     spec: StageSpec
     status: StageStatus = StageStatus.PENDING
     attempts: int = 0
-    #: Live replica records, task_id -> record.
-    replicas: Dict[str, TaskRecord] = field(default_factory=dict)
+    #: One race per dispatch, latest last; a replica whose cancellation
+    #: came too late stays live in its own race.
+    races: List[Race[TaskRecord]] = field(default_factory=list)
     #: Worker holding the (un-checkpointed) output, None when durable.
     output_home: Optional[str] = None
     output_checkpointed: bool = False
     completed_at: Optional[float] = None
     span: Optional["Span"] = None
     last_plan: Optional[RedundancyPlan] = None
+
+    def live_replicas(self) -> Iterator[TaskRecord]:
+        for race in self.races:
+            yield from race.live()
+
+    @property
+    def replicas(self) -> Dict[str, TaskRecord]:
+        """Live replica records, task_id -> record."""
+        return {record.task.task_id: record for record in self.live_replicas()}
+
+    def cancel_replicas(self) -> None:
+        for race in self.races:
+            race.cancel_live()
 
 
 @dataclass
@@ -108,10 +126,6 @@ class GraphRecord:
         if self.graph.deadline_s is None:
             return None
         return self.submitted_at + self.graph.deadline_s
-
-    def stage_statuses(self) -> Dict[str, str]:
-        """Stage name -> status value (introspection/debugging)."""
-        return {name: run.status.value for name, run in self.stages.items()}
 
 
 @dataclass
@@ -205,8 +219,8 @@ class DagScheduler:
             backlog.add_backlog_source(self._pending_replica_work_mi)
         self.stats = DagStats()
         self.records: List[GraphRecord] = []
-        #: replica task_id -> (graph record, stage name)
-        self._replica_index: Dict[str, Tuple[GraphRecord, str]] = {}
+        #: live replica task_id -> (its stage, its race)
+        self._replica_index: Dict[str, Tuple[_StageRun, Race[TaskRecord]]] = {}
         self._graph_listeners: List[Callable[[GraphRecord, str], None]] = []
         # Sibling replicas must land on distinct workers; the gate keeps
         # the cloud's own allocator ranking for everything it admits.
@@ -306,10 +320,8 @@ class DagScheduler:
         entry = self._replica_index.get(task.task_id)
         if entry is None:
             return True
-        graph_record, stage_name = entry
-        stage = graph_record.stages[stage_name]
-        for sibling_id, sibling in stage.replicas.items():
-            if sibling_id == task.task_id:
+        for sibling in entry[0].live_replicas():
+            if sibling.task is task:
                 continue
             if sibling.worker_id == candidate.vehicle_id and sibling.state in (
                 TaskState.ASSIGNED,
@@ -362,7 +374,7 @@ class DagScheduler:
             for record in self.records
             if record.state is GraphState.RUNNING
             for run in record.stages.values()
-            for replica in run.replicas.values()
+            for replica in run.live_replicas()
             if replica.worker_id is None
         )
 
@@ -449,16 +461,26 @@ class DagScheduler:
                 )
             if stage.last_plan.load_shed:
                 stage.span.attrs["load_shed"] = stage.last_plan.load_shed
+        race: Race[TaskRecord] = Race(
+            self.cloud.cancel,
+            REPLICA_CANCELLED,
+            on_resolved=lambda race, reason: self._on_stage_resolved(
+                record, stage, race, reason
+            ),
+            on_finished=self._on_replica_finished,
+        )
+        stage.races.append(race)
         # The positive-budget guard above means the cloud cannot fail a
         # replica synchronously inside submit (its failure paths are all
         # scheduled), so registering after submit is race-free.
         for index in range(replicas):
             task = probe if index == 0 else self._stage_task(record, stage, remaining)
             submitted = self.cloud.submit(task, trace_parent=stage.span)
-            stage.replicas[task.task_id] = submitted
-            self._replica_index[task.task_id] = (record, stage.spec.name)
+            race.launch(submitted)
+            self._replica_index[task.task_id] = (stage, race)
             self.stats.replicas_submitted += 1
             self._metric("replicas_submitted")
+        race.close()
         self._emit(
             "stage_dispatched",
             graph_id=record.graph.graph_id,
@@ -485,28 +507,28 @@ class DagScheduler:
         entry = self._replica_index.pop(task_record.task.task_id, None)
         if entry is None:
             return  # not a DAG replica (direct cloud submission)
-        record, stage_name = entry
-        stage = record.stages[stage_name]
-        stage.replicas.pop(task_record.task.task_id, None)
-        if reason == "completed":
+        entry[1].finish(task_record, reason)
+
+    def _on_replica_finished(self, _replica: TaskRecord, state: str, reason: str) -> None:
+        if state in (CANCELLED, FAILED):
+            self.stats.replicas_failed += 1
+            self._metric("replicas_failed")
+            if state == CANCELLED:
+                self.stats.replicas_cancelled += 1
+        else:
             self.stats.replicas_completed += 1
             self._metric("replicas_completed")
-            if (
-                record.state is not GraphState.RUNNING
-                or stage.status is not StageStatus.RUNNING
-            ):
-                return  # late result after a sibling already won
-            self._complete_stage(record, stage, task_record)
-            return
-        self.stats.replicas_failed += 1
-        self._metric("replicas_failed")
-        if reason == REPLICA_CANCELLED:
-            self.stats.replicas_cancelled += 1
+
+    def _on_stage_resolved(
+        self, record: GraphRecord, stage: _StageRun, race: Race[TaskRecord], reason: str
+    ) -> None:
         if record.state is not GraphState.RUNNING or stage.status is not StageStatus.RUNNING:
-            return
-        if stage.replicas:
-            return  # siblings still racing
-        self._on_stage_exhausted(record, stage, reason)
+            return  # the graph failed, or a restart abandoned this dispatch
+        if reason == "completed":
+            assert race.winner is not None
+            self._complete_stage(record, stage, race.winner)
+        else:
+            self._on_stage_exhausted(record, stage, reason)
 
     def _complete_stage(
         self, record: GraphRecord, stage: _StageRun, winner: TaskRecord
@@ -515,10 +537,9 @@ class DagScheduler:
         stage.completed_at = self.world.now
         self.stats.stages_completed += 1
         self._metric("stages_completed")
-        # First result wins: retire the losing replicas through the
-        # cloud's typed cancel path so nothing fails silently.
-        for loser in list(stage.replicas.values()):
-            self.cloud.cancel(loser, REPLICA_CANCELLED)
+        # A replica left over from an abandoned dispatch can win; retire
+        # the current dispatch's replicas too.
+        stage.cancel_replicas()
         self._checkpoint_output(record, stage, winner)
         tracer = self.world.tracer
         if tracer is not None and stage.span is not None:
@@ -624,8 +645,7 @@ class DagScheduler:
         self.stats.graph_restarts += 1
         self._metric("graph_restarts")
         for run in record.stages.values():
-            for replica in list(run.replicas.values()):
-                self.cloud.cancel(replica, REPLICA_CANCELLED)
+            run.cancel_replicas()
             if run.status is StageStatus.COMPLETED:
                 record.stages_reexecuted += 1
                 self.stats.stages_reexecuted += 1
@@ -657,8 +677,7 @@ class DagScheduler:
         )
         self._metric(f"graph_failures/{reason}")
         for run in record.stages.values():
-            for replica in list(run.replicas.values()):
-                self.cloud.cancel(replica, REPLICA_CANCELLED)
+            run.cancel_replicas()
             if run.status is StageStatus.RUNNING:
                 run.status = StageStatus.FAILED
             self._end_stage_span(run, "failed", reason=reason)
@@ -749,9 +768,16 @@ class DagScheduler:
 
     # -- introspection -------------------------------------------------------
 
-    def running_graphs(self) -> List[GraphRecord]:
-        """Records currently executing."""
-        return [r for r in self.records if r.state is GraphState.RUNNING]
+    #: Invariant name and balance equations over :meth:`accounting`.
+    conservation_name = "dag-conservation"
+    balances = (
+        ("graphs_submitted", ("graph_records",)),
+        ("graphs_completed", ("records_completed",), "double completion or silent loss"),
+        ("graphs_failed", ("records_failed",)),
+        ("graphs_submitted", ("graphs_completed", "graphs_failed", "records_running")),
+        ("replicas_submitted", ("replicas_completed", "replicas_failed", "replicas_live")),
+        ("replicas_live", ("replica_index",)),
+    )
 
     def accounting(self) -> Dict[str, int]:
         """Graph/replica conservation counters, surfaced for invariants.
@@ -780,9 +806,9 @@ class DagScheduler:
             "replica_index": len(self._replica_index),
         }
 
-    def replica_view(self) -> List[Tuple[str, str, str]]:
-        """``(task_id, graph_id, stage)`` per live replica, sorted."""
-        return sorted(
-            (task_id, record.graph.graph_id, stage_name)
-            for task_id, (record, stage_name) in self._replica_index.items()
-        )
+    def races(self) -> Iterator[Tuple[str, Race[TaskRecord]]]:
+        """``(label, race)`` for every stage dispatch of every graph."""
+        for record in self.records:
+            for name, run in record.stages.items():
+                for number, race in enumerate(run.races, 1):
+                    yield f"stage {record.graph.graph_id}/{name}#{number}", race

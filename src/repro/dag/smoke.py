@@ -8,8 +8,8 @@ redundancy + checkpointing), crashes a third of the members mid-run,
 and asserts:
 
 * every graph reached a typed terminal state (none stuck running);
-* the :class:`~repro.chaos.invariants.DagConservation` and
-  :class:`~repro.chaos.invariants.TaskConservation` invariants held at
+* the :class:`~repro.chaos.invariants.Conservation` invariants
+  (``dag-conservation`` and ``task-conservation``) held at
   every periodic check (zero violations);
 * the graph and replica streams balance at the end of the run;
 * the capacity-aware planner path engaged: the scheduler runs with a
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import sys
 
-from ..chaos.invariants import DagConservation, InvariantSuite, TaskConservation
+from ..chaos.invariants import Conservation, InvariantSuite
 from ..core import (
     BackoffPolicy,
     BacklogEstimator,
@@ -104,7 +104,7 @@ def main() -> int:
     FaultInjector(world, plan, cloud=cloud).arm()
 
     suite = InvariantSuite(
-        [TaskConservation(cloud), DagConservation(scheduler)], metrics=world.metrics
+        [Conservation(cloud), Conservation(scheduler)], metrics=world.metrics
     )
     suite.attach(world, check_interval_s=0.5)
     world.run_until(HORIZON_S)

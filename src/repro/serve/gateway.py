@@ -13,8 +13,9 @@ protection lives:
 * per-worker circuit breakers and hedge anti-affinity constrain the
   cloud's allocator through a :class:`~repro.core.scheduler.GatedAllocator`;
 * laggard primaries get a deadline-aware hedge replica on a different
-  worker — first result wins, the loser is cancelled through the
-  cloud's typed-failure ledger (``hedge_cancelled``);
+  worker; primary and hedge race in one :class:`~repro.core.race.Race`
+  — first result wins, the loser is cancelled through the cloud's
+  typed-failure ledger (``hedge_cancelled``);
 * with ``tiering=`` set, admitted requests route through a
   :class:`~repro.tier.offloader.TieredOffloader` instead of straight
   into the cloud: deadline-carrying requests speculate across the local
@@ -26,10 +27,11 @@ The *unprotected* configuration (:meth:`ServiceGateway.unprotected`)
 admits everything and dispatches immediately — the congestion-collapse
 baseline that experiment E16 contrasts with the protected stack.
 
-Accounting is conservation-checked (see :meth:`accounting`): at any
-instant ``offered == admitted + rejected`` and
-``admitted == completed + failed + shed + queued + in-flight``; the
-chaos invariant ``ServingConservation`` asserts exactly this while
+Accounting is conservation-checked (see :attr:`ServiceGateway.balances`
+over :meth:`accounting`): at any instant ``offered == admitted +
+rejected`` and ``admitted == completed + failed + shed + queued +
+in-flight``; the chaos ``Conservation`` invariant asserts exactly this,
+plus every live hedge race's audit, as ``serving-conservation`` while
 fault campaigns run.
 """
 
@@ -37,9 +39,10 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.capacity import BacklogEstimator
+from ..core.race import CANCELLED, FAILED, Race
 from ..core.scheduler import GatedAllocator, WorkerCandidate
 from ..core.tasks import Task, TaskRecord, TaskState
 from ..core.vcloud import VehicularCloud
@@ -85,7 +88,7 @@ class ServeStats:
     batches_dispatched: int = 0
     batched_requests: int = 0
     #: DAG jobs offered through the gateway's attached DagScheduler;
-    #: conservation over graphs lives in DagConservation, not here.
+    #: conservation over graphs is the scheduler's, not the gateway's.
     graphs_offered: int = 0
     graphs_completed: int = 0
     graphs_failed: int = 0
@@ -106,11 +109,6 @@ class ServeStats:
             return 0.0
         return (self.slo_misses + self.failed + self.shed) / terminal
 
-    @property
-    def goodput_completions(self) -> int:
-        """Completions that met their SLO (the goodput numerator)."""
-        return self.slo_hits
-
     def p99_latency_s(self) -> float:
         """99th percentile end-to-end latency (0 when empty)."""
         if not self.latencies_s:
@@ -118,33 +116,31 @@ class ServeStats:
         return percentile(sorted(self.latencies_s), 0.99)
 
 
-@dataclass
+@dataclass(eq=False)
 class _Dispatch:
-    """One in-flight dispatch: primary cloud task plus optional hedge.
+    """One in-flight dispatch: a race of the primary cloud task and an
+    optional hedge.
 
     Usually carries exactly one request; a coalesced small-task batch
     carries several (``members``), all completing or failing with the
     one cloud task while keeping per-member latency/SLO accounting.
     ``request`` is the anchor (first member) either way.  A tiered
-    dispatch has no direct cloud record (``record`` is None) — the
+    dispatch has no race (``race`` and ``record`` are None) — the
     offloader owns the cross-tier replicas and reports back once.
     """
 
     request: ServiceRequest
-    record: Optional[TaskRecord]
     dispatched_at: float
-    task_id: str = ""
-    members: List[ServiceRequest] = field(default_factory=list)
+    task_id: str
+    members: List[ServiceRequest]
+    race: Optional[Race[TaskRecord]] = None
     hedge_check: Optional[EventHandle] = None
-    hedge_record: Optional[TaskRecord] = None
-    primary_failed: bool = False
     finalized: bool = False
 
-    def __post_init__(self) -> None:
-        if not self.members:
-            self.members = [self.request]
-        if not self.task_id and self.record is not None:
-            self.task_id = self.record.task.task_id
+    @property
+    def record(self) -> Optional[TaskRecord]:
+        """The primary cloud task (the race's first attempt)."""
+        return self.race.attempts[0] if self.race is not None else None
 
 
 class ServiceGateway:
@@ -221,8 +217,8 @@ class ServiceGateway:
         self.stats = ServeStats()
         self.latency_tracker = LatencyQuantileTracker()
         self._inflight: Dict[str, _Dispatch] = {}  # primary task_id -> dispatch
-        self._hedge_index: Dict[str, str] = {}  # hedge task_id -> primary task_id
-        self._anti_affinity: Dict[str, set] = {}  # task_id -> banned worker ids
+        self._attempts: Dict[str, _Dispatch] = {}  # live cloud task_id -> dispatch
+        self._anti_affinity: Dict[str, set] = {}  # live hedge task_id -> banned workers
         self._tenant_inflight: Dict[str, int] = {}
         self._tick_task: Optional[PeriodicTask] = None
         self.dag = dag
@@ -543,9 +539,18 @@ class ServiceGateway:
             return
         record = self.cloud.submit(task)
         dispatch = _Dispatch(
-            request=request, record=record, dispatched_at=self.world.now,
-            members=members,
+            request=request, dispatched_at=self.world.now,
+            task_id=task.task_id, members=members,
         )
+        dispatch.race = Race(
+            self.cloud.cancel,
+            "hedge_cancelled",
+            on_resolved=lambda race, reason: self._settle(dispatch, race.winner, reason),
+            on_finished=self._on_attempt_finished,
+        )
+        dispatch.race.launch(record)
+        dispatch.race.close()
+        self._attempts[task.task_id] = dispatch
         self._inflight[task.task_id] = dispatch
         for member in members:
             self._tenant_inflight[member.tenant] = (
@@ -579,7 +584,7 @@ class ServiceGateway:
         and the resolution callback must find the dispatch in flight.
         """
         dispatch = _Dispatch(
-            request=request, record=None, dispatched_at=self.world.now,
+            request=request, dispatched_at=self.world.now,
             task_id=task.task_id, members=members,
         )
         self._inflight[task.task_id] = dispatch
@@ -597,28 +602,24 @@ class ServiceGateway:
         dispatch = self._inflight.get(spec.task.task_id)
         if dispatch is None or dispatch.finalized:
             return  # not a gateway submission (direct offloader use)
-        if reason == "completed":
-            winner = spec.winner.record if spec.winner is not None else None
-            self._finalize_success(dispatch, winner, hedge_won=False)
-        else:
-            self._finalize_failure(dispatch, reason)
+        winner = spec.winner.record if spec.winner is not None else None
+        self._settle(dispatch, winner, reason)
 
     # -- hedging -------------------------------------------------------------
 
     def _hedges_inflight(self) -> int:
-        return len(self._hedge_index)
+        return len(self._anti_affinity)
 
     def _maybe_hedge(self, primary_id: str) -> None:
         dispatch = self._inflight.get(primary_id)
-        if (
-            dispatch is None
-            or dispatch.finalized
-            or dispatch.hedge_record is not None
-            or self.hedging is None
-        ):
+        if dispatch is None or dispatch.finalized or self.hedging is None:
             return
-        record = dispatch.record
-        if record.state in (TaskState.COMPLETED, TaskState.FAILED):
+        race = dispatch.race
+        assert race is not None
+        record = race.attempts[0]
+        if len(race.attempts) > 1 or record.state in (
+            TaskState.COMPLETED, TaskState.FAILED,
+        ):
             return
         request = dispatch.request
         deadline = request.deadline_s
@@ -649,8 +650,8 @@ class ServiceGateway:
         )
         # Anti-affinity: the hedge must land on a *different* worker.
         self._anti_affinity[hedge_task.task_id] = {primary_worker}
-        self._hedge_index[hedge_task.task_id] = primary_id
-        dispatch.hedge_record = self.cloud.submit(hedge_task)
+        race.launch(self.cloud.submit(hedge_task))
+        self._attempts[hedge_task.task_id] = dispatch
         self.stats.hedges_launched += 1
         self.world.metrics.increment(f"serve/{self.name}/hedges_launched")
         events = self.world.events
@@ -664,61 +665,34 @@ class ServiceGateway:
     # -- terminal outcomes ---------------------------------------------------
 
     def _on_cloud_finish(self, record: TaskRecord, reason: str) -> None:
-        task_id = record.task.task_id
-        primary_id = self._hedge_index.get(task_id)
-        if primary_id is not None:
-            self._on_hedge_finish(primary_id, record, reason)
-            return
-        dispatch = self._inflight.get(task_id)
+        dispatch = self._attempts.pop(record.task.task_id, None)
         if dispatch is None:
             return  # not a gateway task (direct cloud submission)
-        if dispatch.finalized:
-            if reason == "hedge_cancelled":
-                # The hedge won and the primary was retired.
-                self.stats.hedges_cancelled += 1
-                self.world.metrics.increment(f"serve/{self.name}/hedges_cancelled")
-            return
-        if reason == "completed":
-            self._finalize_success(dispatch, record, hedge_won=False)
-            return
-        if self.breakers is not None and record.worker_id is not None and reason in (
-            "retries_exhausted",
-        ):
-            self.breakers.record_outcome(record.worker_id, ok=False)
-        if dispatch.hedge_record is not None and dispatch.hedge_record.state not in (
-            TaskState.COMPLETED, TaskState.FAILED,
-        ):
-            # The hedge may still win; hold the request open.
-            dispatch.primary_failed = True
-            return
-        self._finalize_failure(dispatch, reason)
+        assert dispatch.race is not None
+        dispatch.race.finish(record, reason)
 
-    def _on_hedge_finish(self, primary_id: str, record: TaskRecord, reason: str) -> None:
-        task_id = record.task.task_id
-        self._hedge_index.pop(task_id, None)
-        self._anti_affinity.pop(task_id, None)
-        dispatch = self._inflight.get(primary_id)
-        if reason == "hedge_cancelled":
+    def _on_attempt_finished(self, record: TaskRecord, state: str, reason: str) -> None:
+        self._anti_affinity.pop(record.task.task_id, None)
+        if state == CANCELLED:
             self.stats.hedges_cancelled += 1
             self.world.metrics.increment(f"serve/{self.name}/hedges_cancelled")
-            return
-        if dispatch is None or dispatch.finalized:
-            return
-        if reason == "completed":
-            self._finalize_success(dispatch, record, hedge_won=True)
-            return
-        if self.breakers is not None and record.worker_id is not None and reason in (
-            "retries_exhausted",
+        elif (
+            state == FAILED
+            and self.breakers is not None
+            and record.worker_id is not None
+            and reason == "retries_exhausted"
         ):
             self.breakers.record_outcome(record.worker_id, ok=False)
-        if dispatch.primary_failed:
-            self._finalize_failure(dispatch, reason)
-        else:
-            dispatch.hedge_record = None  # primary is still live
 
-    def _finalize_success(
-        self, dispatch: _Dispatch, winner: Optional[TaskRecord], hedge_won: bool
+    def _settle(
+        self, dispatch: _Dispatch, winner: Optional[TaskRecord], reason: str
     ) -> None:
+        if reason == "completed":
+            self._finalize_success(dispatch, winner)
+        else:
+            self._finalize_failure(dispatch, reason)
+
+    def _finalize_success(self, dispatch: _Dispatch, winner: Optional[TaskRecord]) -> None:
         dispatch.finalized = True
         # Every batch member completes with the shared cloud task, but
         # latency and SLO are judged per member against its own arrival.
@@ -739,7 +713,7 @@ class ServiceGateway:
             else:
                 self.stats.slo_misses += 1
                 self.world.metrics.increment(f"serve/{self.name}/slo_miss")
-        if hedge_won:
+        if dispatch.race is not None and winner is not dispatch.record:
             self.stats.hedges_won += 1
             self.world.metrics.increment(f"serve/{self.name}/hedges_won")
         if (
@@ -748,10 +722,6 @@ class ServiceGateway:
             and winner.worker_id is not None
         ):
             self.breakers.record_outcome(winner.worker_id, ok=True)
-        # Retire the loser through the typed ledger before cleanup.
-        loser = dispatch.record if hedge_won else dispatch.hedge_record
-        if loser is not None and loser is not winner:
-            self.cloud.cancel(loser, "hedge_cancelled")
         self._cleanup(dispatch)
 
     def _finalize_failure(self, dispatch: _Dispatch, reason: str) -> None:
@@ -771,9 +741,7 @@ class ServiceGateway:
         self._cleanup(dispatch)
 
     def _cleanup(self, dispatch: _Dispatch) -> None:
-        task_id = dispatch.task_id
-        self._inflight.pop(task_id, None)
-        self._anti_affinity.pop(task_id, None)
+        self._inflight.pop(dispatch.task_id, None)
         for member in dispatch.members:
             left = self._tenant_inflight.get(member.tenant, 0) - 1
             if left <= 0:
@@ -808,6 +776,13 @@ class ServiceGateway:
 
     # -- introspection -------------------------------------------------------
 
+    #: Invariant name and balance equations over :meth:`accounting`.
+    conservation_name = "serving-conservation"
+    balances = (
+        ("offered", ("admitted", "rejected")),
+        ("admitted", ("completed", "failed", "shed", "queued", "inflight")),
+    )
+
     def accounting(self) -> Dict[str, int]:
         """Request-stream conservation counters, surfaced for invariants.
 
@@ -828,3 +803,9 @@ class ServiceGateway:
             "queued": len(self.queue),
             "inflight": sum(len(d.members) for d in self._inflight.values()),
         }
+
+    def races(self) -> Iterator[Tuple[str, Race[TaskRecord]]]:
+        """``(primary task id, race)`` for every race with a live attempt."""
+        for dispatch in dict.fromkeys(self._attempts.values()):
+            assert dispatch.race is not None
+            yield f"dispatch {dispatch.task_id}", dispatch.race

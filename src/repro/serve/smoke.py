@@ -10,7 +10,7 @@ a pinned seed, and asserts the overload machinery actually engaged:
   :class:`~repro.serve.batching.BatchingPolicy` and a small-request
   tenant, so compatible queued smalls must coalesce
   (``batches_dispatched > 0``) with per-member accounting intact;
-* the :class:`~repro.chaos.invariants.ServingConservation` invariant
+* the :class:`~repro.chaos.invariants.Conservation` invariant
   held at every periodic check (zero violations);
 * the request stream balances at the end of the run.
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import sys
 
-from ..chaos.invariants import InvariantSuite, ServingConservation
+from ..chaos.invariants import Conservation, InvariantSuite
 from ..core import CheckpointHandoverPolicy, ResourceOffer, VehicularCloud
 from ..geometry import Vec2
 from ..mobility import StationaryModel
@@ -92,7 +92,7 @@ def main() -> int:
         ),
     ]
     WorkloadGenerator(world, gateway, tenants, horizon_s=HORIZON_S).start()
-    suite = InvariantSuite([ServingConservation(gateway)], metrics=world.metrics)
+    suite = InvariantSuite([Conservation(gateway)], metrics=world.metrics)
     suite.attach(world, check_interval_s=0.5)
     world.run_until(HORIZON_S + DRAIN_S)
 

@@ -21,7 +21,7 @@ item 3):
   cancel path, collapsing to local (``backhaul_degraded`` /
   ``no_remote_slack``) when the WAN cannot help;
 * :mod:`.smoke` — the CI scenario: speculation through a mid-run
-  backhaul outage, 100% deadline hits, clean ``TierConservation``.
+  backhaul outage, 100% deadline hits, clean ``tier-conservation``.
 
 Benchmark E20 sweeps deadline-hit-rate against backhaul latency, loss
 and outage fractions versus single-tier baselines.

@@ -25,17 +25,21 @@ Safer" (PAPERS.md).
 Every task roots a ``tier.lifecycle`` span with one ``tier.attempt``
 child per replica; the winner's span is causally linked from the
 lifecycle so traces answer "which tier actually saved this deadline".
-Accounting is conservation-grade: each speculated task resolves to
-exactly one winner with every loser cancelled, failed, or flagged late
-— the ``TierConservation`` chaos invariant audits exactly this via
-:meth:`TieredOffloader.accounting` / :meth:`speculation_view`.
+Each task's replicas race in one :class:`~repro.core.race.Race`, which
+owns first-result-wins: the winner, typed loser cancellation, late
+results and the failure reason of a race nobody won.  The offloader
+keeps only the policy (:meth:`TieredOffloader._plan` and degradation)
+and its ledger.  The chaos ``Conservation`` invariant checks
+:attr:`TieredOffloader.balances` over :meth:`TieredOffloader.accounting`
+and audits every task's race as ``tier-conservation``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
+from ..core.race import CANCELLED, FAILED, LATE, WON, Race
 from ..core.tasks import Task
 from ..errors import ConfigurationError
 from ..sim.world import World
@@ -69,16 +73,28 @@ class SpeculativeTask:
     policy: str
     submitted_at: float
     deadline_at: Optional[float]
-    attempts: List[TierAttempt] = field(default_factory=list)
-    resolved: bool = False
-    #: ``"completed"`` or a typed failure reason, once resolved.
-    outcome: Optional[str] = None
-    winner: Optional[TierAttempt] = None
+    race: Race[TierAttempt]
     resolved_at: Optional[float] = None
     #: Degradation ledgered at submit (``backhaul_degraded`` / ``no_remote_slack``).
     degraded: Optional[str] = None
     span: Optional[object] = None
-    _launching: bool = field(default=True, repr=False)
+
+    @property
+    def attempts(self) -> List[TierAttempt]:
+        return self.race.attempts
+
+    @property
+    def resolved(self) -> bool:
+        return self.race.resolved
+
+    @property
+    def outcome(self) -> Optional[str]:
+        """``"completed"`` or a typed failure reason, once resolved."""
+        return self.race.outcome
+
+    @property
+    def winner(self) -> Optional[TierAttempt]:
+        return self.race.winner
 
 
 @dataclass
@@ -153,8 +169,15 @@ class TieredOffloader:
         deadline_at = (
             now + task.deadline_s if task.deadline_s is not None else None
         )
+        race: Race[TierAttempt] = Race(
+            self._cancel_attempt,
+            SPECULATION_CANCELLED,
+            on_resolved=lambda _race, reason: self._on_resolved(spec, reason),
+            on_finished=self._on_finished,
+        )
         spec = SpeculativeTask(
-            task=task, policy=policy, submitted_at=now, deadline_at=deadline_at
+            task=task, policy=policy, submitted_at=now, deadline_at=deadline_at,
+            race=race,
         )
         self._specs[task.task_id] = spec
         self.stats.submitted += 1
@@ -170,15 +193,9 @@ class TieredOffloader:
                     "deadline_s": task.deadline_s,
                 },
             )
-        try:
-            for tier in self._plan(spec):
-                self._launch(spec, tier)
-        finally:
-            spec._launching = False
-        if not spec.resolved and (
-            not spec.attempts or all(a.terminal for a in spec.attempts)
-        ):
-            self._fail(spec)
+        for tier in self._plan(spec):
+            self._launch(spec, tier)
+        race.close(NO_TIER_AVAILABLE)
         return spec
 
     # -- tier selection ------------------------------------------------------
@@ -272,50 +289,50 @@ class TieredOffloader:
             lambda a, reason: self._on_attempt_finish(spec, a, reason),
             span=span,
         )
-        if attempt not in spec.attempts:
-            spec.attempts.append(attempt)
+        spec.race.launch(attempt)
+
+    def _cancel_attempt(self, attempt: TierAttempt, reason: str) -> None:
+        self.topology.tier(attempt.tier_name).cancel(attempt, reason)
 
     def _on_attempt_finish(
         self, spec: SpeculativeTask, attempt: TierAttempt, reason: str
     ) -> None:
-        if attempt not in spec.attempts:
-            spec.attempts.append(attempt)  # terminated inside dispatch
-        tier = self.topology.tier(attempt.tier_name)
-        self.health.record_outcome(tier, reason)
-        if reason == "completed":
-            if attempt.cancelled or spec.resolved:
-                self.stats.attempts_late += 1
-                self.world.metrics.increment(f"tier/{self.name}/attempts_late")
-                self._end_attempt_span(attempt, "ok", late=True)
-            else:
-                self.stats.attempts_won += 1
-                self._end_attempt_span(attempt, "ok", winner=True)
-                self._resolve(spec, attempt)
-                return
-        elif attempt.cancelled:
+        self.health.record_outcome(self.topology.tier(attempt.tier_name), reason)
+        spec.race.finish(attempt, reason)
+
+    def _on_finished(self, attempt: TierAttempt, state: str, reason: str) -> None:
+        """Per-attempt ledger, before any resolution the attempt causes."""
+        if state == WON:
+            self.stats.attempts_won += 1
+            self._end_attempt_span(attempt, "ok", winner=True)
+        elif state == LATE:
+            self.stats.attempts_late += 1
+            self.world.metrics.increment(f"tier/{self.name}/attempts_late")
+            self._end_attempt_span(attempt, "ok", late=True)
+        elif state == CANCELLED:
             self.stats.attempts_cancelled += 1
             self.world.metrics.increment(f"tier/{self.name}/attempts_cancelled")
             self._end_attempt_span(attempt, "cancelled", reason=reason)
-        else:
+        elif state == FAILED:
             self.stats.attempts_failed += 1
             self.world.metrics.increment(
                 f"tier/{self.name}/attempt_failures/{reason}"
             )
             self._end_attempt_span(attempt, "error", reason=reason)
-        if (
-            not spec.resolved
-            and not spec._launching
-            and spec.attempts
-            and all(a.terminal for a in spec.attempts)
-        ):
-            self._fail(spec)
 
-    def _resolve(self, spec: SpeculativeTask, winner: TierAttempt) -> None:
+    def _on_resolved(self, spec: SpeculativeTask, reason: str) -> None:
+        spec.resolved_at = self.world.now
+        if reason == "completed":
+            self._resolve(spec)
+        else:
+            self._fail(spec, reason)
+        for listener in self._resolve_listeners:
+            listener(spec, reason)
+
+    def _resolve(self, spec: SpeculativeTask) -> None:
         now = self.world.now
-        spec.resolved = True
-        spec.outcome = "completed"
-        spec.winner = winner
-        spec.resolved_at = now
+        winner = spec.winner
+        assert winner is not None
         self.stats.completed += 1
         self.stats.latency_sum_s += now - spec.submitted_at
         self.stats.wins_by_tier[winner.tier_name] = (
@@ -330,11 +347,6 @@ class TieredOffloader:
             else:
                 self.stats.deadline_misses += 1
                 self.world.metrics.increment(f"tier/{self.name}/deadline_misses")
-        # First acceptable result is in; cancel every loser still running.
-        for other in list(spec.attempts):
-            if other is winner or other.terminal:
-                continue
-            self.topology.tier(other.tier_name).cancel(other, SPECULATION_CANCELLED)
         tracer = self.world.tracer
         if tracer is not None and spec.span is not None:
             if winner.span is not None:
@@ -350,25 +362,8 @@ class TieredOffloader:
             winner=winner.tier_name,
             latency_s=round(now - spec.submitted_at, 6),
         )
-        for listener in self._resolve_listeners:
-            listener(spec, "completed")
 
-    def _fail(self, spec: SpeculativeTask) -> None:
-        # The task's outcome is the reason of the *last replica standing*
-        # (latest terminal time), skipping cancelled losers.
-        failed = sorted(
-            (
-                a
-                for a in spec.attempts
-                if a.terminal_reason not in (None, SPECULATION_CANCELLED)
-            ),
-            key=lambda a: a.finished_at if a.finished_at is not None else 0.0,
-        )
-        reason = failed[-1].terminal_reason if failed else NO_TIER_AVAILABLE
-        assert reason is not None
-        spec.resolved = True
-        spec.outcome = reason
-        spec.resolved_at = self.world.now
+    def _fail(self, spec: SpeculativeTask, reason: str) -> None:
         self.stats.failed += 1
         self.stats.failure_reasons[reason] = (
             self.stats.failure_reasons.get(reason, 0) + 1
@@ -384,8 +379,6 @@ class TieredOffloader:
             "task_failed", severity="warning",
             task_id=spec.task.task_id, reason=reason,
         )
-        for listener in self._resolve_listeners:
-            listener(spec, reason)
 
     def _end_attempt_span(
         self, attempt: TierAttempt, status: str, **attrs: object
@@ -401,13 +394,25 @@ class TieredOffloader:
 
     # -- conservation surface ------------------------------------------------
 
+    #: Invariant name and balance equations over :meth:`accounting`.
+    conservation_name = "tier-conservation"
+    balances = (
+        ("submitted", ("completed", "failed", "live")),
+        (
+            "attempts_submitted",
+            ("attempts_won", "attempts_cancelled", "attempts_failed",
+             "attempts_late", "attempts_live"),
+        ),
+        ("completed", ("attempts_won",), "a task must have exactly one winner"),
+    )
+
     def accounting(self) -> Dict[str, int]:
         """Task- and attempt-stream conservation counters.
 
         At any sim instant ``submitted == completed + failed + live``
         and ``attempts_submitted == won + cancelled + failed + late +
         live`` must hold, and ``completed == attempts_won`` (exactly one
-        winner per resolved task).  ``TierConservation`` checks these.
+        winner per resolved task); see :attr:`balances`.
         """
         s = self.stats
         live = s.submitted - s.completed - s.failed
@@ -431,32 +436,10 @@ class TieredOffloader:
             "attempts_live": attempts_live,
         }
 
-    def speculation_view(self) -> List[Dict[str, object]]:
-        """Per-task winner/loser reconciliation for the invariant."""
-        view: List[Dict[str, object]] = []
-        for spec in self._specs.values():
-            winners = sum(
-                1
-                for a in spec.attempts
-                if a.terminal_reason == "completed" and not a.cancelled
-            )
-            unreconciled = (
-                sum(1 for a in spec.attempts if not a.terminal and not a.cancelled)
-                if spec.resolved
-                else 0
-            )
-            view.append(
-                {
-                    "task_id": spec.task.task_id,
-                    "policy": spec.policy,
-                    "resolved": spec.resolved,
-                    "outcome": spec.outcome,
-                    "attempts": len(spec.attempts),
-                    "winners": winners,
-                    "unreconciled": unreconciled,
-                }
-            )
-        return view
+    def races(self) -> Iterator[Tuple[str, Race[TierAttempt]]]:
+        """``(task id, race)`` for every submitted task."""
+        for task_id, spec in self._specs.items():
+            yield f"task {task_id}", spec.race
 
     def specs(self) -> List[SpeculativeTask]:
         """Every submitted task's spec, in submission order."""

@@ -10,8 +10,8 @@ and asserts:
 
 * every task resolved (none stuck) with **100% deadline hits** — the
   outage costs latency, never deadline safety;
-* the :class:`~repro.chaos.invariants.TierConservation` and
-  :class:`~repro.chaos.invariants.TaskConservation` verdicts are clean
+* the :class:`~repro.chaos.invariants.Conservation` verdicts
+  (``tier-conservation`` and ``task-conservation``) are clean
   at every periodic check;
 * speculation actually engaged (remote wins + losers cancelled) and
   actually degraded during the outage (``backhaul_degraded`` ledgered),
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import sys
 
-from ..chaos.invariants import InvariantSuite, TaskConservation, TierConservation
+from ..chaos.invariants import Conservation, InvariantSuite
 from ..core import ResourceOffer, VehicularCloud
 from ..core.tasks import Task
 from ..faults.backhaul import BackhaulFaultDriver
@@ -87,7 +87,7 @@ def build(seed: int = SEED):
     driver.arm()
 
     suite = InvariantSuite(
-        [TaskConservation(cloud), TierConservation(offloader)],
+        [Conservation(cloud), Conservation(offloader)],
         metrics=world.metrics,
     )
     suite.attach(world, check_interval_s=0.5)

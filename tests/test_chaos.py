@@ -11,7 +11,7 @@ from repro.chaos import (
     InvariantSuite,
     QuorumSafety,
     StrandedTasks,
-    TaskConservation,
+    Conservation,
     Violation,
     campaign_size,
     ddmin,
@@ -100,7 +100,7 @@ class TestGenerator:
 class TestInvariants:
     def test_task_conservation_clean_then_tampered(self):
         world, _vehicles, cloud = small_cloud()
-        inv = TaskConservation(cloud)
+        inv = Conservation(cloud)
         from repro.core import Task
 
         cloud.submit(Task(work_mi=100))
@@ -159,7 +159,7 @@ class TestInvariants:
 
     def test_suite_accumulates_and_counts(self):
         world, _vehicles, cloud = small_cloud()
-        suite = InvariantSuite([TaskConservation(cloud)], metrics=world.metrics)
+        suite = InvariantSuite([Conservation(cloud)], metrics=world.metrics)
         assert suite.check_now(0.0) == []
         cloud.stats.submitted += 5
         fresh = suite.check_now(1.0)
@@ -273,10 +273,10 @@ class TestServingConservation:
         return world, gateway
 
     def test_clean_under_load_then_tampered(self):
-        from repro.chaos import ServingConservation
+        from repro.chaos import Conservation
 
         world, gateway = self._gateway()
-        inv = ServingConservation(gateway)
+        inv = Conservation(gateway)
         world.run_for(10.0)
         assert gateway.stats.offered > 0
         assert inv.check(world.now) == []
@@ -291,10 +291,10 @@ class TestServingConservation:
     def test_detects_silent_drop(self):
         """A request removed from the queue without a typed outcome is
         exactly the leak the invariant exists to catch."""
-        from repro.chaos import ServingConservation
+        from repro.chaos import Conservation
 
         world, gateway = self._gateway(seed=12)
-        inv = ServingConservation(gateway)
+        inv = Conservation(gateway)
         world.run_for(3.0)
         assert inv.check(world.now) == []
         victim = next(iter(gateway.queue.items()), None)

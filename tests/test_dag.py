@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from repro.chaos import DagConservation, InvariantSuite, TaskConservation
+from repro.chaos import Conservation, InvariantSuite
 from repro.core import (
     BackoffPolicy,
     CheckpointHandoverPolicy,
@@ -489,7 +489,7 @@ class TestDagConservationInvariant:
         _v, cloud = build_cloud(world, members=8, heterogeneous=True)
         scheduler = dependable_scheduler(world, cloud)
         suite = InvariantSuite(
-            [TaskConservation(cloud), DagConservation(scheduler)],
+            [Conservation(cloud), Conservation(scheduler)],
             metrics=world.metrics,
         )
         suite.attach(world, check_interval_s=0.5)
@@ -512,7 +512,7 @@ class TestDagConservationInvariant:
         scheduler = dependable_scheduler(world, cloud)
         scheduler.submit(chain([200.0], deadline_s=60.0))
         world.run_for(60.0)
-        invariant = DagConservation(scheduler)
+        invariant = Conservation(scheduler)
         assert invariant.check(world.now) == []
         scheduler.stats.graphs_completed += 1  # simulate a double count
         violations = invariant.check(world.now)

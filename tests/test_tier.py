@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.chaos import InvariantSuite, TaskConservation, TierConservation
+from repro.chaos import Conservation, InvariantSuite
 from repro.core import (
     CheckpointHandoverPolicy,
     CloudFederation,
@@ -85,7 +85,7 @@ def build_tiered(
 
 
 def assert_conserved(offloader, now):
-    assert TierConservation(offloader).check(now) == []
+    assert Conservation(offloader).check(now) == []
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +708,7 @@ class TestTierConservationInvariant:
     def test_clean_run_has_no_violations(self):
         b = build_tiered()
         suite = InvariantSuite(
-            [TaskConservation(b.cloud), TierConservation(b.offloader)],
+            [Conservation(b.cloud), Conservation(b.offloader)],
             metrics=b.world.metrics,
         )
         suite.attach(b.world, check_interval_s=0.25)
@@ -733,6 +733,6 @@ class TestTierConservationInvariant:
         assert spec.resolved
         # Sabotage the ledger: pretend the winning attempt never won.
         b.offloader.stats.attempts_won -= 1
-        violations = TierConservation(b.offloader).check(b.world.now)
+        violations = Conservation(b.offloader).check(b.world.now)
         assert violations
         assert any("winner" in v.message or "winning" in v.message for v in violations)

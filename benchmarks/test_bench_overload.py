@@ -41,63 +41,17 @@ from repro.infra import deploy_rsus_on_highway
 from repro.mobility import Highway, HighwayModel, StationaryModel
 from repro.mobility.vehicle import reset_vehicle_ids
 from repro.net import WirelessChannel
-from repro.serve import (
-    CircuitBreakerBoard,
-    CompositeAdmission,
-    DeadlineFeasibilityAdmission,
-    DeadlineLapseShedder,
-    HedgePolicy,
-    PoissonArrivals,
-    QueueDelayShedder,
-    ServiceGateway,
-    TenantFairShareAdmission,
-    TenantSpec,
-    WorkloadGenerator,
-)
+from repro.serve import MEAN_WORK_MI, ServiceGateway, WorkloadGenerator, tenant_mix
 from repro.sim import ScenarioConfig, World
 
 SEED = 42
 HORIZON_S = 120.0
 DRAIN_S = 30.0
 LOADS = (0.5, 1.0, 1.5, 2.0)
-#: Blended mean task size: 70% bulk @200 MI + 30% interactive @150 MI.
-MEAN_WORK_MI = 185.0
-
-
-def protected_gateway(world: World, cloud: VehicularCloud) -> ServiceGateway:
-    return ServiceGateway(
-        world,
-        cloud,
-        name="e16",
-        queue_capacity=32,
-        admission=CompositeAdmission([
-            DeadlineFeasibilityAdmission(),
-            TenantFairShareAdmission(share=0.7),
-        ]),
-        shedders=[DeadlineLapseShedder(), QueueDelayShedder(max_delay_s=4.0)],
-        breakers=CircuitBreakerBoard(world, "e16"),
-        hedging=HedgePolicy(),
-    )
 
 
 def start_traffic(world: World, gateway: ServiceGateway, rate_per_s: float) -> None:
-    tenants = [
-        TenantSpec(
-            name="bulk",
-            arrivals=PoissonArrivals(rate_per_s * 0.7),
-            work_mi_range=(150.0, 250.0),
-            deadline_s=8.0,
-            priority=2,
-        ),
-        TenantSpec(
-            name="interactive",
-            arrivals=PoissonArrivals(rate_per_s * 0.3),
-            work_mi_range=(100.0, 200.0),
-            deadline_s=6.0,
-            priority=1,
-        ),
-    ]
-    WorkloadGenerator(world, gateway, tenants, horizon_s=HORIZON_S).start()
+    WorkloadGenerator(world, gateway, tenant_mix(rate_per_s), horizon_s=HORIZON_S).start()
 
 
 def measure(world: World, gateway: ServiceGateway) -> dict:
@@ -133,7 +87,7 @@ def run_stationary(load: float, protected: bool, seed: int = SEED) -> dict:
             vehicle, offer=ResourceOffer(vehicle.vehicle_id, 100.0, 10**9, 1e6)
         )
     gateway = (
-        protected_gateway(world, cloud)
+        ServiceGateway.protected(world, cloud, name="e16")
         if protected
         else ServiceGateway.unprotected(world, cloud, name="e16")
     )
@@ -163,7 +117,7 @@ def run_mobile(architecture: str, load: float, seed: int = SEED, protected: bool
     arch.start()
     cloud = arch.cloud
     gateway = (
-        protected_gateway(world, cloud)
+        ServiceGateway.protected(world, cloud, name="e16")
         if protected
         else ServiceGateway.unprotected(world, cloud, name="e16")
     )

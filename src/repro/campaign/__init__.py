@@ -6,8 +6,9 @@ The measurement harness every scale/dependability claim runs through:
   :class:`ScenarioMatrix` (architecture x workload x fault profile x
   mobility x seeds, with per-cell overrides) expanding into seeded
   :class:`RunSpec` cells;
-* :mod:`.scenarios` — maps each cell onto a live world reusing the
-  chaos/serve/dag substrates, with the invariant suite attached;
+* :mod:`.scenarios` — maps each cell onto a live world: a Fig. 4
+  architecture from :mod:`repro.chaos.scenarios` plus a serve/dag/task
+  workload, with the invariant suite attached;
 * :mod:`.orchestrator` — :class:`CampaignOrchestrator` executing cells
   on parallel worker processes, each emitting a content-addressed
   artifact bundle (obs ``report.json``, trace/event JSONL, invariant
@@ -18,8 +19,10 @@ The measurement harness every scale/dependability claim runs through:
   with per-metric tolerance bands and direction-aware regression
   flagging, rendering ``report.json`` + ``report.md``.
 
-CLI: ``python -m repro.campaign run|baseline|report|ingest ...``;
-CI gate: ``python -m repro.campaign.smoke``.
+CLI: ``python -m repro.campaign run|baseline|report|ingest ...``.  The
+smoke gate (``campaigns/smoke.json`` on 2 spawn workers against its
+blessed baseline, with a byte-exact per-run vector audit) is the tier-1
+test ``tests/test_campaign.py::TestSmokeGate``.
 
 Determinism contract: per-run artifacts (everything except wall-clock
 envelopes) are byte-identical across worker counts and reruns, because
@@ -47,7 +50,6 @@ from .report import (
 )
 from .scenarios import (
     FAULT_PROFILE_TABLE,
-    CampaignScenario,
     build_scenario,
     fault_profile_for,
 )
@@ -75,7 +77,6 @@ __all__ = [
     "CampaignOrchestrator",
     "CampaignReport",
     "CampaignRun",
-    "CampaignScenario",
     "CampaignSpec",
     "CellOverride",
     "Finding",

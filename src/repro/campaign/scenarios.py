@@ -1,59 +1,31 @@
 """Turn a :class:`~repro.campaign.spec.RunSpec` into a live scenario.
 
 One builder per matrix axis value, composed: the *architecture x
-mobility* pair picks the world/cloud construction (parked fleet,
-elected-captain highway or Manhattan fleet, RSU-anchored highway — the
-three Fig. 4 architectures), the *workload* attaches traffic (batch
-tasks + storage churn, the protected serving gateway under open-loop
-load, or the dependable DAG scheduler), and the *fault profile* maps to
-a seeded :class:`~repro.chaos.generator.ChaosProfile` weight table.
-
-Everything reuses the hardened chaos scenario substrate
-(:mod:`repro.chaos.scenarios`) so campaign cells measure the same
-configurations the chaos and overload suites defend.
+mobility* pair picks the world/cloud construction — the hardened Fig. 4
+architecture builders of :mod:`repro.chaos.scenarios` (parked fleet,
+elected-captain highway or Manhattan fleet, RSU-anchored highway), so
+campaign cells measure the configurations the chaos suite defends —
+the *workload* attaches traffic (batch tasks + storage churn, the
+protected serving gateway under open-loop load, or the dependable DAG
+scheduler), and the *fault profile* maps to a seeded
+:class:`~repro.chaos.generator.ChaosProfile` weight table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
-from ..chaos.generator import ChaosProfile, ChaosTargets
-from ..chaos.invariants import (
-    ChannelConservation,
-    Conservation,
-    Invariant,
-    LeaseExclusivity,
-    MembershipAgreement,
-    QuorumSafety,
-    SingleHead,
-    StrandedTasks,
-)
+from ..chaos.generator import ChaosProfile
+from ..chaos.invariants import Conservation
+from ..chaos.runner import ChaosScenario
 from ..chaos.scenarios import (
-    attach_stack,
-    finish_storage,
-    standard_invariants,
+    dynamic_architecture,
+    infrastructure_architecture,
+    stationary_architecture,
     storage_workload,
     task_stream,
 )
-from ..faults import ConsistencyChecker
-from ..faults.plan import FaultPlan
-from ..infra.central_cloud import CentralCloud
-from ..tier import (
-    BackhaulLink,
-    CentralCloudTier,
-    TieredOffloader,
-    TierTopology,
-    VCloudTier,
-)
-from ..core import (
-    BacklogEstimator,
-    CheckpointHandoverPolicy,
-    DynamicVCloud,
-    InfrastructureVCloud,
-    ResourceOffer,
-    VehicularCloud,
-)
+from ..core import BacklogEstimator, Task
 from ..dag import (
     DagScheduler,
     RedundancyPlanner,
@@ -62,28 +34,18 @@ from ..dag import (
     pipeline_template,
 )
 from ..errors import CampaignError
-from ..geometry import Vec2
-from ..infra import deploy_rsus_on_highway
-from ..mobility import Highway, HighwayModel, ManhattanGrid, ManhattanModel, StationaryModel
-from ..serve import (
-    CircuitBreakerBoard,
-    CompositeAdmission,
-    DeadlineFeasibilityAdmission,
-    DeadlineLapseShedder,
-    HedgePolicy,
-    PoissonArrivals,
-    QueueDelayShedder,
-    ServiceGateway,
-    TenantFairShareAdmission,
-    TenantSpec,
-    WorkloadGenerator,
+from ..faults.plan import FaultPlan
+from ..infra.central_cloud import CentralCloud
+from ..serve import MEAN_WORK_MI, ServiceGateway, WorkloadGenerator, tenant_mix
+from ..sim.metrics import percentile
+from ..tier import (
+    BackhaulLink,
+    CentralCloudTier,
+    TieredOffloader,
+    TierTopology,
+    VCloudTier,
 )
-from ..sim import ScenarioConfig, World
 from .spec import RunSpec
-
-#: Blended mean task size of the serving tenant mix (70% bulk @200 MI +
-#: 30% interactive @150 MI) — sizes the open-loop rate off capacity.
-MEAN_WORK_MI = 185.0
 
 #: Sim-seconds the mobile architectures get to form membership before
 #: the serving workload sizes its open-loop rate off actual capacity.
@@ -119,136 +81,14 @@ def backhaul_fault_plan(seed: int, run_length_s: float) -> FaultPlan:
     return plan
 
 
-@dataclass
-class CampaignScenario:
-    """Everything one campaign run needs from its builders."""
-
-    world: World
-    cloud: VehicularCloud
-    invariants: List[Invariant]
-    channel: Any = None
-    infrastructure: Sequence = ()
-    node_lookup: Optional[Callable[[str], Optional[object]]] = None
-    gateway: Optional[ServiceGateway] = None
-    dag_scheduler: Optional[DagScheduler] = None
-    #: Tiered-architecture wiring (None for single-tier architectures).
-    offloader: Optional[TieredOffloader] = None
-    backhaul_link: Optional[BackhaulLink] = None
-    #: Extra metric extractors appended by the workload builder.
-    vector_sources: List[Callable[[], Dict[str, float]]] = field(default_factory=list)
-
-    def targets(self) -> ChaosTargets:
-        """The fault-target inventory for plan generation."""
-        return ChaosTargets(
-            members=self.cloud.member_count(),
-            has_channel=self.channel is not None,
-            infrastructure=len(self.infrastructure),
-        )
-
-
 # -- architecture x mobility ------------------------------------------------
 
 
-def _mobile_invariants(
-    cloud: VehicularCloud,
-    world: World,
-    checker: ConsistencyChecker,
-    external_heads: Sequence[str] = (),
-) -> List[Invariant]:
-    """The chaos suite's invariant set with mobile convergence windows."""
-    return [
-        Conservation(cloud),
-        LeaseExclusivity(cloud),
-        SingleHead(cloud, external_heads=tuple(external_heads)),
-        MembershipAgreement(cloud, convergence_s=2.0),
-        QuorumSafety(checker),
-        ChannelConservation(world),
-        StrandedTasks(cloud, grace_s=12.0),
-    ]
+def _build_stationary(spec: RunSpec) -> ChaosScenario:
+    return stationary_architecture(spec.world_seed, spec.members, cloud_id="campaign-vc")
 
 
-def _build_stationary(spec: RunSpec) -> CampaignScenario:
-    world = World(ScenarioConfig(seed=spec.world_seed))
-    model = StationaryModel(
-        world, positions=[Vec2(i * 40.0, 0.0) for i in range(spec.members)]
-    )
-    vehicles = model.populate(spec.members)
-    channel, lookup = attach_stack(world, vehicles)
-    cloud = VehicularCloud(
-        world, "campaign-vc", handover_policy=CheckpointHandoverPolicy()
-    )
-    for vehicle in vehicles:
-        cloud.admit(
-            vehicle, offer=ResourceOffer(vehicle.vehicle_id, 100.0, 10**9, 1e6)
-        )
-    checker = finish_storage(cloud, hardened=True)
-    return CampaignScenario(
-        world=world,
-        cloud=cloud,
-        invariants=standard_invariants(cloud, world, checker),
-        channel=channel,
-        node_lookup=lookup,
-    )
-
-
-def _build_dynamic(spec: RunSpec) -> CampaignScenario:
-    world = World(ScenarioConfig(seed=spec.world_seed, vehicle_count=spec.members))
-    if spec.mobility == "grid":
-        grid = ManhattanGrid(blocks_x=4, blocks_y=4, block_size_m=400.0)
-        model: Any = ManhattanModel(world, grid)
-    else:
-        model = HighwayModel(world, Highway(length_m=3000.0))
-    model.populate(spec.members)
-    model.start()
-    channel, lookup = attach_stack(world, model.vehicles)
-    arch = DynamicVCloud(world, model)
-    arch.start()
-    cloud = arch.cloud
-    checker = finish_storage(cloud, hardened=True)
-    # Membership-derived tables lag one refresh under churn; mirror the
-    # chaos suite's convergence windows.
-    return CampaignScenario(
-        world=world,
-        cloud=cloud,
-        invariants=_mobile_invariants(cloud, world, checker),
-        channel=channel,
-        node_lookup=lookup,
-    )
-
-
-def _build_infrastructure(spec: RunSpec) -> CampaignScenario:
-    world = World(ScenarioConfig(seed=spec.world_seed, vehicle_count=spec.members))
-    highway = Highway(length_m=3000.0)
-    model = HighwayModel(world, highway)
-    model.populate(spec.members)
-    model.start()
-    from ..net import BeaconService, VehicleNode, WirelessChannel
-
-    channel = WirelessChannel(world)
-    rsus = deploy_rsus_on_highway(world, channel, highway, spacing_m=1500.0)
-    nodes: Dict[str, VehicleNode] = {}
-    for vehicle in model.vehicles:
-        node = VehicleNode(world, channel, vehicle)
-        BeaconService(world, node).start()
-        nodes[vehicle.vehicle_id] = node
-    arch = InfrastructureVCloud(world, rsus[0], model)
-    arch.start()
-    cloud = arch.cloud
-    checker = finish_storage(cloud, hardened=True)
-    invariants = _mobile_invariants(
-        cloud, world, checker, external_heads=(rsus[0].node_id,)
-    )
-    return CampaignScenario(
-        world=world,
-        cloud=cloud,
-        invariants=invariants,
-        channel=channel,
-        infrastructure=rsus,
-        node_lookup=lambda node_id: nodes.get(node_id),
-    )
-
-
-def _build_tiered(spec: RunSpec) -> CampaignScenario:
+def _build_tiered(spec: RunSpec) -> ChaosScenario:
     """Stationary local v-cloud + datacenter tier behind a WAN backhaul."""
     base = _build_stationary(spec)
     world = base.world
@@ -284,10 +124,14 @@ def _build_tiered(spec: RunSpec) -> CampaignScenario:
     return base
 
 
-_ARCHITECTURE_BUILDERS: Dict[str, Callable[[RunSpec], CampaignScenario]] = {
+_ARCHITECTURE_BUILDERS: Dict[str, Callable[[RunSpec], ChaosScenario]] = {
     "stationary": _build_stationary,
-    "dynamic": _build_dynamic,
-    "infrastructure": _build_infrastructure,
+    "dynamic": lambda spec: dynamic_architecture(
+        spec.world_seed, spec.members, mobility=spec.mobility
+    ),
+    "infrastructure": lambda spec: infrastructure_architecture(
+        spec.world_seed, spec.members
+    ),
     "tiered": _build_tiered,
 }
 
@@ -295,7 +139,7 @@ _ARCHITECTURE_BUILDERS: Dict[str, Callable[[RunSpec], CampaignScenario]] = {
 # -- workloads ---------------------------------------------------------------
 
 
-def _attach_tasks(spec: RunSpec, scenario: CampaignScenario) -> None:
+def _attach_tasks(spec: RunSpec, scenario: ChaosScenario) -> None:
     """Batch task stream + storage read/write churn (the chaos workload).
 
     On the tiered architecture the stream routes through the
@@ -325,8 +169,6 @@ def _attach_tasks(spec: RunSpec, scenario: CampaignScenario) -> None:
             }
 
     else:
-        from ..core import Task
-
         deadline_s = spec.run_length_s * 0.75
         for index in range(count):
             scenario.world.engine.schedule_at(
@@ -356,7 +198,7 @@ def _attach_tasks(spec: RunSpec, scenario: CampaignScenario) -> None:
     scenario.vector_sources.append(vector)
 
 
-def _attach_serving(spec: RunSpec, scenario: CampaignScenario) -> None:
+def _attach_serving(spec: RunSpec, scenario: ChaosScenario) -> None:
     """Protected gateway under an open-loop tenant mix at ``load_factor``.
 
     On the tiered architecture the gateway routes through ``tiering=``
@@ -364,18 +206,10 @@ def _attach_serving(spec: RunSpec, scenario: CampaignScenario) -> None:
     mutually exclusive by construction.
     """
     world = scenario.world
-    gateway = ServiceGateway(
+    gateway = ServiceGateway.protected(
         world,
         scenario.cloud,
         name="campaign",
-        queue_capacity=32,
-        admission=CompositeAdmission([
-            DeadlineFeasibilityAdmission(),
-            TenantFairShareAdmission(share=0.7),
-        ]),
-        shedders=[DeadlineLapseShedder(), QueueDelayShedder(max_delay_s=4.0)],
-        breakers=CircuitBreakerBoard(world, "campaign"),
-        hedging=None if scenario.offloader is not None else HedgePolicy(),
         tiering=scenario.offloader,
         backlog=BacklogEstimator(scenario.cloud),
     )
@@ -387,23 +221,7 @@ def _attach_serving(spec: RunSpec, scenario: CampaignScenario) -> None:
         capacity_tasks_s = max(
             0.5, gateway.aggregate_capacity_mips() / MEAN_WORK_MI
         )
-        rate = spec.load_factor * capacity_tasks_s
-        tenants = [
-            TenantSpec(
-                name="bulk",
-                arrivals=PoissonArrivals(rate * 0.7),
-                work_mi_range=(150.0, 250.0),
-                deadline_s=8.0,
-                priority=2,
-            ),
-            TenantSpec(
-                name="interactive",
-                arrivals=PoissonArrivals(rate * 0.3),
-                work_mi_range=(100.0, 200.0),
-                deadline_s=6.0,
-                priority=1,
-            ),
-        ]
+        tenants = tenant_mix(spec.load_factor * capacity_tasks_s)
         WorkloadGenerator(world, gateway, tenants, horizon_s=horizon_s).start()
 
     world.engine.schedule_at(
@@ -414,8 +232,6 @@ def _attach_serving(spec: RunSpec, scenario: CampaignScenario) -> None:
         stats = gateway.stats
         terminal = stats.completed + stats.failed + stats.shed
         latencies = sorted(stats.latencies_s)
-        from ..sim.metrics import percentile
-
         return {
             "serve/offered": float(stats.offered),
             "serve/admitted": float(stats.admitted),
@@ -437,7 +253,7 @@ def _attach_serving(spec: RunSpec, scenario: CampaignScenario) -> None:
     scenario.vector_sources.append(vector)
 
 
-def _attach_dag(spec: RunSpec, scenario: CampaignScenario) -> None:
+def _attach_dag(spec: RunSpec, scenario: ChaosScenario) -> None:
     """Dependable DAG stream: redundancy, checkpointing, backlog-aware."""
     world = scenario.world
     scheduler = DagScheduler(
@@ -488,7 +304,7 @@ def _attach_dag(spec: RunSpec, scenario: CampaignScenario) -> None:
     scenario.vector_sources.append(vector)
 
 
-_WORKLOAD_BUILDERS: Dict[str, Callable[[RunSpec, CampaignScenario], None]] = {
+_WORKLOAD_BUILDERS: Dict[str, Callable[[RunSpec, ChaosScenario], None]] = {
     "tasks": _attach_tasks,
     "serving": _attach_serving,
     "dag": _attach_dag,
@@ -503,7 +319,7 @@ def fault_profile_for(name: str) -> Optional[ChaosProfile]:
         raise CampaignError(f"unknown fault profile: {name!r}") from None
 
 
-def build_scenario(spec: RunSpec) -> CampaignScenario:
+def build_scenario(spec: RunSpec) -> ChaosScenario:
     """Compose the architecture and workload builders for one cell."""
     try:
         build_arch = _ARCHITECTURE_BUILDERS[spec.architecture]
@@ -517,9 +333,7 @@ def build_scenario(spec: RunSpec) -> CampaignScenario:
 
 __all__: Sequence[str] = (
     "FAULT_PROFILE_TABLE",
-    "MEAN_WORK_MI",
     "SERVING_SETTLE_S",
-    "CampaignScenario",
     "backhaul_fault_plan",
     "build_scenario",
     "fault_profile_for",

@@ -17,8 +17,8 @@ modes; this package probes *unchosen* ones:
   reproducer bundle and delta-debugs (:mod:`.minimize`) the fault
   schedule down to a minimal failing subset that replays
   deterministically from the recorded seed;
-* :mod:`.scenarios` provides hardened and deliberately weakened builds
-  of the three Fig. 4 architectures for campaigns to chew on.
+* :mod:`.scenarios` builds the three Fig. 4 architectures, hardened or
+  deliberately weakened, once for both chaos and scenario campaigns.
 
 Quick start::
 
@@ -59,6 +59,7 @@ from .runner import (
     ChaosScenario,
     RunResult,
     ScenarioFactory,
+    reset_global_ids,
 )
 from .scenarios import (
     CHAOS_BACKOFF,
@@ -92,6 +93,7 @@ __all__ = [
     "Violation",
     "campaign_size",
     "ddmin",
+    "reset_global_ids",
     "dynamic_scenario",
     "generate_plan",
     "infrastructure_scenario",

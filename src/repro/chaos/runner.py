@@ -12,9 +12,9 @@ re-running the whole scenario deterministically for each candidate —
 and packages seed, plan, first violation, minimal fault set and a
 causal-trace excerpt into a :class:`~.bundle.ReproducerBundle`.
 
-Cross-run determinism: task / vehicle / message ids come from
-process-global counters, so the runner rewinds them before every run
-(:func:`~repro.core.tasks.reset_task_ids` and friends).  Two calls to
+Cross-run determinism: task, vehicle, message, graph, RSU and other
+entity ids come from process-global counters, so the runner rewinds
+all of them before every run (:func:`reset_global_ids`).  Two calls to
 :meth:`run_seed` with the same arguments are therefore byte-identical
 even within one process — the property replay depends on.
 """
@@ -22,12 +22,17 @@ even within one process — the property replay depends on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..core.federation import reset_federated_ids
+from ..core.sensing import reset_query_ids
 from ..core.tasks import reset_task_ids
+from ..dag.graph import reset_graph_ids
 from ..errors import ChaosError
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
+from ..infra.base_station import reset_base_station_ids
+from ..infra.rsu import reset_rsu_ids
 from ..mobility.vehicle import reset_vehicle_ids
 from ..net.messages import reset_message_ids
 from ..sim.world import World
@@ -36,21 +41,33 @@ from .generator import ChaosProfile, ChaosTargets, generate_plan
 from .invariants import Invariant, InvariantSuite, Violation
 from .minimize import ddmin
 
+if TYPE_CHECKING:
+    from ..dag import DagScheduler
+    from ..serve import ServiceGateway
+    from ..tier import BackhaulLink, TieredOffloader
+
 #: Span statuses that mark a span as "something went wrong here".
 _SUSPECT_STATUSES = ("failed", "error", "dropped", "degraded", "handover")
 
 
 @dataclass
 class ChaosScenario:
-    """Everything the runner needs from one freshly built scenario."""
+    """Everything a chaos or campaign run needs from one built scenario."""
 
     world: World
-    invariants: Sequence[Invariant]
+    invariants: List[Invariant]
     cloud: Any = None
     channel: Any = None
     infrastructure: Sequence = ()
     node_lookup: Optional[Callable[[str], Optional[object]]] = None
     label: str = "scenario"
+    #: Workload handles a campaign run reports on (None when absent).
+    gateway: Optional["ServiceGateway"] = None
+    dag_scheduler: Optional["DagScheduler"] = None
+    offloader: Optional["TieredOffloader"] = None
+    backhaul_link: Optional["BackhaulLink"] = None
+    #: Scalar metric extractors a campaign run folds into its vector.
+    vector_sources: List[Callable[[], Dict[str, float]]] = field(default_factory=list)
 
     def targets(self) -> ChaosTargets:
         """Derive the fault-target inventory for plan generation."""
@@ -130,11 +147,21 @@ class CampaignResult:
 ScenarioFactory = Callable[[int], ChaosScenario]
 
 
-def _reset_global_ids() -> None:
-    """Rewind process-global id counters for cross-run replay."""
+def reset_global_ids() -> None:
+    """Rewind every process-global id counter for cross-run replay."""
+    # Imported here: nothing else in chaos or campaign loads the trust
+    # package, and its import would slow every campaign start-up.
+    from ..trust.events import reset_report_ids
+
     reset_task_ids()
     reset_vehicle_ids()
     reset_message_ids()
+    reset_graph_ids()
+    reset_rsu_ids()
+    reset_base_station_ids()
+    reset_report_ids()
+    reset_query_ids()
+    reset_federated_ids()
 
 
 class ChaosRunner:
@@ -165,7 +192,7 @@ class ChaosRunner:
         observe: bool = False,
     ) -> RunResult:
         """Execute one seeded run; optionally arm only a schedule subset."""
-        _reset_global_ids()
+        reset_global_ids()
         scenario = self.factory(seed)
         world = scenario.world
         if observe:

@@ -1,9 +1,14 @@
-"""Ready-made chaos scenarios for the three Fig. 4 architectures.
+"""The three Fig. 4 architectures, built once for chaos and campaign runs.
 
-Each builder returns a :class:`~.runner.ChaosScenario`: a fresh world,
-a started cloud with a task stream and a storage workload, a full radio
-stack (so network faults have something to bite on), and the invariant
-set appropriate to the architecture.
+Each architecture builder (:func:`stationary_architecture`,
+:func:`dynamic_architecture`, :func:`infrastructure_architecture`)
+returns a :class:`~.runner.ChaosScenario` with no workload: a fresh
+world, a started cloud with replicated storage, a full radio stack (so
+network faults have something to bite on), and the invariant set from
+:func:`standard_invariants`.  The chaos scenarios add the chaos workload
+(:func:`task_stream` + :func:`storage_workload`);
+:func:`repro.campaign.build_scenario` adds its own workload attachers to
+the same builders.
 
 ``hardened=True`` (the default) enables every recovery mechanism the
 framework offers — lease-based liveness, exponential-backoff retries,
@@ -19,7 +24,7 @@ partitions) — with minimized reproducers of one or two faults.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..core import (
     BackoffPolicy,
@@ -34,40 +39,71 @@ from ..core import (
 from ..faults import ConsistencyChecker
 from ..geometry import Vec2
 from ..infra import deploy_rsus_on_highway
-from ..mobility import Highway, HighwayModel, StationaryModel
+from ..mobility import (
+    Highway,
+    HighwayModel,
+    ManhattanGrid,
+    ManhattanModel,
+    StationaryModel,
+)
 from ..net import BeaconService, VehicleNode, WirelessChannel
+from ..serve import ServiceGateway, WorkloadGenerator, tenant_mix
 from ..sim import ScenarioConfig, World
 from .invariants import (
     ChannelConservation,
+    Conservation,
     Invariant,
     LeaseExclusivity,
     MembershipAgreement,
     QuorumSafety,
     SingleHead,
     StrandedTasks,
-    Conservation,
 )
+from .runner import ChaosScenario
 
 __all__ = [
     "attach_stack",
-    "finish_storage",
     "harden_cloud",
     "standard_invariants",
     "storage_workload",
     "task_stream",
     "weaken_cloud",
+    "stationary_architecture",
+    "dynamic_architecture",
+    "infrastructure_architecture",
     "stationary_scenario",
     "dynamic_scenario",
     "infrastructure_scenario",
     "overload_scenario",
     "CHAOS_BACKOFF",
+    "MOBILE_CONVERGENCE_S",
+    "STORAGE_PERIOD_S",
+    "STRANDED_GRACE_S",
 ]
 
 CHAOS_BACKOFF = BackoffPolicy(
     base_delay_s=0.5, multiplier=2.0, max_delay_s=8.0, jitter_fraction=0.1
 )
 
+#: Grace a task may sit unowned before :class:`StrandedTasks` flags it.
+STRANDED_GRACE_S = 12.0
+
+#: A mobile cloud re-elects its captain and churns members as vehicles
+#: move, so membership-derived tables may lag one refresh interval.
+MOBILE_CONVERGENCE_S = 2.0
+
+#: Period of the storage read/write churn of :func:`storage_workload`.
+STORAGE_PERIOD_S = 2.0
+
 _FILE_IDS = ("chaos-file-a", "chaos-file-b", "chaos-file-c")
+
+#: Mobility models a dynamic cloud can ride on.
+_MOBILE_MODELS: Dict[str, Callable[[World], Any]] = {
+    "highway": lambda world: HighwayModel(world, Highway(length_m=3000.0)),
+    "grid": lambda world: ManhattanModel(
+        world, ManhattanGrid(blocks_x=4, blocks_y=4, block_size_m=400.0)
+    ),
+}
 
 
 def harden_cloud(cloud: VehicularCloud) -> None:
@@ -92,9 +128,7 @@ def weaken_cloud(cloud: VehicularCloud) -> None:
     )
 
 
-def storage_workload(
-    world: World, cloud: VehicularCloud, period_s: float = 2.0
-) -> None:
+def storage_workload(world: World, cloud: VehicularCloud) -> None:
     """Seed shared files, then read/write them periodically.
 
     Storage faults surface as degraded operations (None results), never
@@ -122,7 +156,7 @@ def storage_workload(
             cloud.store_read(file_id)
 
     world.engine.schedule(0.5, seed_files, label="chaos-seed-files")
-    world.engine.call_every(period_s, churn, label="chaos-storage-workload")
+    world.engine.call_every(STORAGE_PERIOD_S, churn, label="chaos-storage-workload")
 
 
 def task_stream(
@@ -143,150 +177,56 @@ def standard_invariants(
     cloud: VehicularCloud,
     world: World,
     checker: ConsistencyChecker,
-    external_heads=(),
-    stranded_grace_s: float = 12.0,
+    external_heads: Sequence[str] = (),
+    convergence_s: float = 0.0,
 ) -> List[Invariant]:
+    """The invariant set every architecture is held to."""
     return [
         Conservation(cloud),
         LeaseExclusivity(cloud),
         SingleHead(cloud, external_heads=external_heads),
-        MembershipAgreement(cloud),
+        MembershipAgreement(cloud, convergence_s=convergence_s),
         QuorumSafety(checker),
         ChannelConservation(world),
-        StrandedTasks(cloud, grace_s=stranded_grace_s),
+        StrandedTasks(cloud, grace_s=STRANDED_GRACE_S),
     ]
 
 
-def attach_stack(world: World, vehicles):
-    """Channel + node + beacon per vehicle; returns (channel, lookup)."""
-    channel = WirelessChannel(world)
+def attach_stack(channel: WirelessChannel, vehicles) -> Callable[[str], Optional[object]]:
+    """A radio node + beacon per vehicle on ``channel``; returns the node lookup."""
     nodes: Dict[str, VehicleNode] = {}
     for vehicle in vehicles:
-        node = VehicleNode(world, channel, vehicle)
-        BeaconService(world, node).start()
+        node = VehicleNode(channel.world, channel, vehicle)
+        BeaconService(channel.world, node).start()
         nodes[vehicle.vehicle_id] = node
-
-    def lookup(node_id: str) -> Optional[object]:
-        return nodes.get(node_id)
-
-    return channel, lookup
+    return nodes.get
 
 
-def finish_storage(cloud: VehicularCloud, hardened: bool) -> ConsistencyChecker:
+def _scenario(
+    label: str,
+    cloud: VehicularCloud,
+    channel: WirelessChannel,
+    lookup: Callable[[str], Optional[object]],
+    hardened: bool,
+    rsus: Sequence = (),
+    convergence_s: float = MOBILE_CONVERGENCE_S,
+) -> ChaosScenario:
+    """Storage hardening, consistency checking and invariants for ``cloud``."""
     if hardened:
         harden_cloud(cloud)
     else:
         weaken_cloud(cloud)
-    checker = ConsistencyChecker(metrics=cloud.world.metrics)
+    world = cloud.world
+    checker = ConsistencyChecker(metrics=world.metrics)
     assert cloud.storage is not None
     checker.attach(cloud.storage)
-    return checker
-
-
-def stationary_scenario(seed: int, hardened: bool = True, members: int = 8):
-    """A parked-fleet cloud on a controlled stationary grid."""
-    from .runner import ChaosScenario
-
-    world = World(ScenarioConfig(seed=seed))
-    model = StationaryModel(
-        world, positions=[Vec2(i * 40.0, 0.0) for i in range(members)]
+    invariants = standard_invariants(
+        cloud,
+        world,
+        checker,
+        external_heads=tuple(rsu.node_id for rsu in rsus[:1]),
+        convergence_s=convergence_s,
     )
-    vehicles = model.populate(members)
-    channel, lookup = attach_stack(world, vehicles)
-    cloud = VehicularCloud(
-        world, "chaos-stationary-vc", handover_policy=CheckpointHandoverPolicy()
-    )
-    for vehicle in vehicles:
-        cloud.admit(
-            vehicle, offer=ResourceOffer(vehicle.vehicle_id, 100.0, 10**9, 1e6)
-        )
-    checker = finish_storage(cloud, hardened)
-    task_stream(world, cloud)
-    storage_workload(world, cloud)
-    return ChaosScenario(
-        world=world,
-        invariants=standard_invariants(cloud, world, checker),
-        cloud=cloud,
-        channel=channel,
-        node_lookup=lookup,
-        label="stationary",
-    )
-
-
-def dynamic_scenario(seed: int, hardened: bool = True, vehicles: int = 12):
-    """A self-organized highway cloud with an elected captain."""
-    from .runner import ChaosScenario
-
-    world = World(ScenarioConfig(seed=seed, vehicle_count=vehicles))
-    highway = Highway(length_m=3000.0)
-    model = HighwayModel(world, highway)
-    model.populate(vehicles)
-    model.start()
-    channel, lookup = attach_stack(world, model.vehicles)
-    arch = DynamicVCloud(world, model)
-    arch.start()
-    cloud = arch.cloud
-    checker = finish_storage(cloud, hardened)
-    task_stream(world, cloud)
-    storage_workload(world, cloud)
-    # A dynamic cloud re-elects its captain and churns members as
-    # vehicles move, so membership-derived tables may lag one refresh
-    # interval; give agreement a convergence window and stranded tasks
-    # extra grace for handover-in-progress.
-    invariants: List[Invariant] = [
-        Conservation(cloud),
-        LeaseExclusivity(cloud),
-        SingleHead(cloud),
-        MembershipAgreement(cloud, convergence_s=2.0),
-        QuorumSafety(checker),
-        ChannelConservation(world),
-        StrandedTasks(cloud, grace_s=12.0),
-    ]
-    return ChaosScenario(
-        world=world,
-        invariants=invariants,
-        cloud=cloud,
-        channel=channel,
-        node_lookup=lookup,
-        label="dynamic",
-    )
-
-
-def infrastructure_scenario(seed: int, hardened: bool = True, vehicles: int = 14):
-    """An RSU-anchored highway cloud (the RSU is the external head)."""
-    from .runner import ChaosScenario
-
-    world = World(ScenarioConfig(seed=seed, vehicle_count=vehicles))
-    highway = Highway(length_m=3000.0)
-    model = HighwayModel(world, highway)
-    model.populate(vehicles)
-    model.start()
-    channel = WirelessChannel(world)
-    rsus = deploy_rsus_on_highway(world, channel, highway, spacing_m=1500.0)
-    nodes: Dict[str, VehicleNode] = {}
-    for vehicle in model.vehicles:
-        node = VehicleNode(world, channel, vehicle)
-        BeaconService(world, node).start()
-        nodes[vehicle.vehicle_id] = node
-
-    def lookup(node_id: str) -> Optional[object]:
-        return nodes.get(node_id)
-
-    arch = InfrastructureVCloud(world, rsus[0], model)
-    arch.start()
-    cloud = arch.cloud
-    checker = finish_storage(cloud, hardened)
-    task_stream(world, cloud)
-    storage_workload(world, cloud)
-    invariants: List[Invariant] = [
-        Conservation(cloud),
-        LeaseExclusivity(cloud),
-        SingleHead(cloud, external_heads=(rsus[0].node_id,)),
-        MembershipAgreement(cloud, convergence_s=2.0),
-        QuorumSafety(checker),
-        ChannelConservation(world),
-        StrandedTasks(cloud, grace_s=12.0),
-    ]
     return ChaosScenario(
         world=world,
         invariants=invariants,
@@ -294,8 +234,93 @@ def infrastructure_scenario(seed: int, hardened: bool = True, vehicles: int = 14
         channel=channel,
         infrastructure=rsus,
         node_lookup=lookup,
-        label="infrastructure",
+        label=label,
     )
+
+
+# -- the three Fig. 4 architectures (no workload) ------------------------------
+
+
+def stationary_architecture(
+    seed: int,
+    members: int = 8,
+    hardened: bool = True,
+    cloud_id: str = "chaos-stationary-vc",
+) -> ChaosScenario:
+    """A parked fleet on a controlled stationary grid.
+
+    ``cloud_id`` names the RNG substreams of the cloud, so each caller
+    keeps its own.
+    """
+    world = World(ScenarioConfig(seed=seed))
+    model = StationaryModel(
+        world, positions=[Vec2(i * 40.0, 0.0) for i in range(members)]
+    )
+    vehicles = model.populate(members)
+    channel = WirelessChannel(world)
+    lookup = attach_stack(channel, vehicles)
+    cloud = VehicularCloud(world, cloud_id, handover_policy=CheckpointHandoverPolicy())
+    for vehicle in vehicles:
+        cloud.admit(
+            vehicle, offer=ResourceOffer(vehicle.vehicle_id, 100.0, 10**9, 1e6)
+        )
+    return _scenario("stationary", cloud, channel, lookup, hardened, convergence_s=0.0)
+
+
+def dynamic_architecture(
+    seed: int, vehicles: int = 12, hardened: bool = True, mobility: str = "highway"
+) -> ChaosScenario:
+    """A self-organized cloud with an elected captain on a moving fleet."""
+    world = World(ScenarioConfig(seed=seed, vehicle_count=vehicles))
+    model = _MOBILE_MODELS[mobility](world)
+    model.populate(vehicles)
+    model.start()
+    channel = WirelessChannel(world)
+    lookup = attach_stack(channel, model.vehicles)
+    arch = DynamicVCloud(world, model)
+    arch.start()
+    return _scenario("dynamic", arch.cloud, channel, lookup, hardened)
+
+
+def infrastructure_architecture(
+    seed: int, vehicles: int = 14, hardened: bool = True
+) -> ChaosScenario:
+    """An RSU-anchored highway cloud (the first RSU is the external head)."""
+    world = World(ScenarioConfig(seed=seed, vehicle_count=vehicles))
+    highway = Highway(length_m=3000.0)
+    model = HighwayModel(world, highway)
+    model.populate(vehicles)
+    model.start()
+    channel = WirelessChannel(world)
+    rsus = deploy_rsus_on_highway(world, channel, highway, spacing_m=1500.0)
+    lookup = attach_stack(channel, model.vehicles)
+    arch = InfrastructureVCloud(world, rsus[0], model)
+    arch.start()
+    return _scenario("infrastructure", arch.cloud, channel, lookup, hardened, rsus=rsus)
+
+
+# -- chaos scenarios: architecture + chaos workload ----------------------------
+
+
+def _chaos_workload(scenario: ChaosScenario) -> ChaosScenario:
+    task_stream(scenario.world, scenario.cloud)
+    storage_workload(scenario.world, scenario.cloud)
+    return scenario
+
+
+def stationary_scenario(seed: int, hardened: bool = True, members: int = 8):
+    """A parked-fleet cloud under the chaos task and storage workload."""
+    return _chaos_workload(stationary_architecture(seed, members, hardened))
+
+
+def dynamic_scenario(seed: int, hardened: bool = True, vehicles: int = 12):
+    """A self-organized highway cloud under the chaos workload."""
+    return _chaos_workload(dynamic_architecture(seed, vehicles, hardened))
+
+
+def infrastructure_scenario(seed: int, hardened: bool = True, vehicles: int = 14):
+    """An RSU-anchored highway cloud under the chaos workload."""
+    return _chaos_workload(infrastructure_architecture(seed, vehicles, hardened))
 
 
 def overload_scenario(seed: int, hardened: bool = True, members: int = 8):
@@ -309,77 +334,17 @@ def overload_scenario(seed: int, hardened: bool = True, members: int = 8):
     :class:`~.invariants.Conservation` holds the gateway to its
     conservation law throughout.
     """
-    from ..serve import (
-        CircuitBreakerBoard,
-        CompositeAdmission,
-        DeadlineFeasibilityAdmission,
-        DeadlineLapseShedder,
-        HedgePolicy,
-        PoissonArrivals,
-        QueueDelayShedder,
-        ServiceGateway,
-        TenantFairShareAdmission,
-        TenantSpec,
-        WorkloadGenerator,
+    scenario = stationary_architecture(
+        seed, members, hardened, cloud_id="chaos-overload-vc"
     )
-    from .invariants import Conservation
-    from .runner import ChaosScenario
-
-    world = World(ScenarioConfig(seed=seed))
-    model = StationaryModel(
-        world, positions=[Vec2(i * 40.0, 0.0) for i in range(members)]
-    )
-    vehicles = model.populate(members)
-    channel, lookup = attach_stack(world, vehicles)
-    cloud = VehicularCloud(
-        world, "chaos-overload-vc", handover_policy=CheckpointHandoverPolicy()
-    )
-    for vehicle in vehicles:
-        cloud.admit(
-            vehicle, offer=ResourceOffer(vehicle.vehicle_id, 100.0, 10**9, 1e6)
-        )
-    checker = finish_storage(cloud, hardened)
-    gateway = ServiceGateway(
-        world,
-        cloud,
-        name="chaos-overload",
-        queue_capacity=32,
-        admission=CompositeAdmission([
-            DeadlineFeasibilityAdmission(),
-            TenantFairShareAdmission(share=0.7),
-        ]),
-        shedders=[DeadlineLapseShedder(), QueueDelayShedder(max_delay_s=4.0)],
-        breakers=CircuitBreakerBoard(world, "chaos-overload"),
-        hedging=HedgePolicy(),
-    )
+    world = scenario.world
+    gateway = ServiceGateway.protected(world, scenario.cloud, name="chaos-overload")
     # ~2x the fleet's compute capacity: (members-1) workers x 100 MIPS
     # against 200 MI tasks is (members-1)/2 tasks/s sustainable.
-    overload_rate = float(members - 1)
-    tenants = [
-        TenantSpec(
-            name="bulk",
-            arrivals=PoissonArrivals(overload_rate * 0.7),
-            work_mi_range=(150.0, 250.0),
-            deadline_s=8.0,
-            priority=2,
-        ),
-        TenantSpec(
-            name="interactive",
-            arrivals=PoissonArrivals(overload_rate * 0.3),
-            work_mi_range=(100.0, 200.0),
-            deadline_s=6.0,
-            priority=1,
-        ),
-    ]
+    tenants = tenant_mix(float(members - 1))
     WorkloadGenerator(world, gateway, tenants, horizon_s=600.0).start()
-    storage_workload(world, cloud)
-    invariants = standard_invariants(cloud, world, checker)
-    invariants.append(Conservation(gateway))
-    return ChaosScenario(
-        world=world,
-        invariants=invariants,
-        cloud=cloud,
-        channel=channel,
-        node_lookup=lookup,
-        label="overload",
-    )
+    storage_workload(world, scenario.cloud)
+    scenario.invariants.append(Conservation(gateway))
+    scenario.gateway = gateway
+    scenario.label = "overload"
+    return scenario

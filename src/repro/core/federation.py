@@ -31,6 +31,12 @@ from .vcloud import VehicularCloud
 _federated_counter = itertools.count(1)
 
 
+def reset_federated_ids() -> None:
+    """Rewind the process-global merge/split cloud id counter."""
+    global _federated_counter
+    _federated_counter = itertools.count(1)
+
+
 class CloudFederation:
     """Coordinates merge/split across a set of vehicular clouds."""
 

@@ -29,6 +29,12 @@ from .aggregation import ResultAggregator
 _query_counter = itertools.count(1)
 
 
+def reset_query_ids() -> None:
+    """Rewind the process-global sensing-query id counter to ``squery-1``."""
+    global _query_counter
+    _query_counter = itertools.count(1)
+
+
 @dataclass(frozen=True)
 class SensingQuery:
     """An area-scoped sensing request."""

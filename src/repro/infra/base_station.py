@@ -26,6 +26,12 @@ def next_base_station_id() -> str:
     return f"bs-{next(_bs_counter)}"
 
 
+def reset_base_station_ids() -> None:
+    """Rewind the process-global base-station id counter to ``bs-1``."""
+    global _bs_counter
+    _bs_counter = itertools.count(1)
+
+
 class BaseStation(FixedNode):
     """A cellular tower with wide coverage and WAN backhaul."""
 

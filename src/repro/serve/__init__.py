@@ -40,9 +40,10 @@ tenants whose :class:`~repro.serve.workload.TenantSpec` carries a
 ``graph`` template emit dependency-structured jobs through
 ``submit_graph`` instead of scalar requests.
 
-Experiment E16 (``benchmarks/test_bench_overload.py``) contrasts this
-protected stack with the unprotected baseline across offered loads on
-all three Fig. 4 architectures.
+Experiment E16 (``benchmarks/test_bench_overload.py``) contrasts the
+protected stack (:meth:`ServiceGateway.protected` under the
+:func:`~.workload.tenant_mix` load) with the unprotected baseline
+across offered loads on all three Fig. 4 architectures.
 """
 
 from .admission import (
@@ -63,6 +64,7 @@ from .hedging import HedgePolicy, LatencyQuantileTracker
 from .queueing import BoundedPriorityQueue
 from .request import ServiceRequest
 from .workload import (
+    MEAN_WORK_MI,
     ArrivalProcess,
     BurstyArrivals,
     DiurnalArrivals,
@@ -70,6 +72,7 @@ from .workload import (
     TenantLoad,
     TenantSpec,
     WorkloadGenerator,
+    tenant_mix,
 )
 
 __all__ = [
@@ -88,6 +91,7 @@ __all__ = [
     "DiurnalArrivals",
     "HedgePolicy",
     "LatencyQuantileTracker",
+    "MEAN_WORK_MI",
     "PoissonArrivals",
     "QueueDelayAdmission",
     "QueueDelayShedder",
@@ -99,4 +103,5 @@ __all__ = [
     "TenantLoad",
     "TenantSpec",
     "WorkloadGenerator",
+    "tenant_mix",
 ]

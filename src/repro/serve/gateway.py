@@ -23,9 +23,10 @@ protection lives:
   prefer local with remote failover.  Tiering owns cross-tier replicas,
   so it is mutually exclusive with hedging and batching.
 
-The *unprotected* configuration (:meth:`ServiceGateway.unprotected`)
-admits everything and dispatches immediately — the congestion-collapse
-baseline that experiment E16 contrasts with the protected stack.
+The *protected* configuration (:meth:`ServiceGateway.protected`) is the
+stack experiment E16 measures; the *unprotected* one
+(:meth:`ServiceGateway.unprotected`) admits everything and dispatches
+immediately — the congestion-collapse baseline E16 contrasts with it.
 
 Accounting is conservation-checked (see :attr:`ServiceGateway.balances`
 over :meth:`accounting`): at any instant ``offered == admitted +
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.capacity import BacklogEstimator
 from ..core.race import CANCELLED, FAILED, Race
@@ -52,7 +53,16 @@ from ..errors import ConfigurationError
 from ..sim.engine import EventHandle, PeriodicTask
 from ..sim.metrics import percentile
 from ..sim.world import World
-from .admission import AdmissionPolicy, AdmitAll, SheddingPolicy
+from .admission import (
+    AdmissionPolicy,
+    AdmitAll,
+    CompositeAdmission,
+    DeadlineFeasibilityAdmission,
+    DeadlineLapseShedder,
+    QueueDelayShedder,
+    SheddingPolicy,
+    TenantFairShareAdmission,
+)
 from .batching import BatchingPolicy
 from .breaker import CircuitBreakerBoard
 from .hedging import HedgePolicy, LatencyQuantileTracker
@@ -240,6 +250,29 @@ class ServiceGateway:
             )
 
     # -- canned configurations ----------------------------------------------
+
+    @staticmethod
+    def protected(
+        world: World, cloud: VehicularCloud, name: str = "gateway", **overrides: Any
+    ) -> "ServiceGateway":
+        """The E16 protected stack; ``overrides`` replace or add settings.
+
+        A 32-slot queue, deadline-feasibility plus 0.7 fair-share
+        admission, deadline-lapse and 4 s queue-delay shedding, a breaker
+        board, and hedging unless ``tiering=`` routes the requests.
+        """
+        settings: Dict[str, Any] = dict(
+            queue_capacity=32,
+            admission=CompositeAdmission([
+                DeadlineFeasibilityAdmission(),
+                TenantFairShareAdmission(share=0.7),
+            ]),
+            shedders=[DeadlineLapseShedder(), QueueDelayShedder(max_delay_s=4.0)],
+            breakers=CircuitBreakerBoard(world, name),
+            hedging=None if overrides.get("tiering") is not None else HedgePolicy(),
+        )
+        settings.update(overrides)
+        return ServiceGateway(world, cloud, name=name, **settings)
 
     @staticmethod
     def unprotected(world: World, cloud: VehicularCloud, name: str = "gateway") -> "ServiceGateway":

@@ -162,6 +162,31 @@ class TenantSpec:
             raise ConfigurationError("clients must be >= 1")
 
 
+#: Blended mean task size of :func:`tenant_mix` (70% bulk @200 MI +
+#: 30% interactive @150 MI); sizes an open-loop rate off capacity.
+MEAN_WORK_MI = 185.0
+
+
+def tenant_mix(rate_per_s: float) -> List[TenantSpec]:
+    """E16's open-loop mix: 70% bulk and 30% interactive at ``rate_per_s``."""
+    return [
+        TenantSpec(
+            name="bulk",
+            arrivals=PoissonArrivals(rate_per_s * 0.7),
+            work_mi_range=(150.0, 250.0),
+            deadline_s=8.0,
+            priority=2,
+        ),
+        TenantSpec(
+            name="interactive",
+            arrivals=PoissonArrivals(rate_per_s * 0.3),
+            work_mi_range=(100.0, 200.0),
+            deadline_s=6.0,
+            priority=1,
+        ),
+    ]
+
+
 @dataclass
 class TenantLoad:
     """Per-tenant offered-load accounting."""

@@ -20,8 +20,9 @@ item 3):
   first-acceptable-result-wins, losers cancelled through the typed
   cancel path, collapsing to local (``backhaul_degraded`` /
   ``no_remote_slack``) when the WAN cannot help;
-* :mod:`.smoke` — the CI scenario: speculation through a mid-run
-  backhaul outage, 100% deadline hits, clean ``tier-conservation``.
+* the tier-1 test ``tests/test_tier.py::TestDeterminismAndConservation``
+  runs speculation through a mid-run backhaul outage: 100% deadline
+  hits, clean ``tier-conservation`` and ``backhaul-conservation``.
 
 Benchmark E20 sweeps deadline-hit-rate against backhaul latency, loss
 and outage fractions versus single-tier baselines.

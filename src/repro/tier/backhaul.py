@@ -14,8 +14,10 @@ central datacenter).  It models:
 
 Loss/outage are sampled at *send* time from the link's own RNG
 substream, so a seeded run replays byte-identically.  Every outcome is
-countered (``sent``/``delivered``/``lost`` plus per-reason breakdowns)
-and mirrored into the metrics registry under ``tier/backhaul/<name>/``.
+countered (``sent``/``delivered``/``lost``/``in_flight`` plus per-reason
+breakdowns, a ledger :class:`~repro.chaos.Conservation` checks as
+``backhaul-conservation``) and mirrored into the metrics registry under
+``tier/backhaul/<name>/``.
 
 Fault windows are normally driven by a
 :class:`~repro.faults.backhaul.BackhaulFaultDriver` mapping
@@ -37,6 +39,9 @@ LOSS_REASONS = ("outage", "loss")
 
 class BackhaulLink:
     """One bidirectional WAN link with seeded latency/jitter/loss/outages."""
+
+    conservation_name = "backhaul-conservation"
+    balances = (("sent", ("delivered", "lost", "in_flight")),)
 
     def __init__(
         self,
@@ -68,6 +73,7 @@ class BackhaulLink:
         self.sent = 0
         self.delivered = 0
         self.lost = 0
+        self.in_flight = 0
         self.loss_reasons: Dict[str, int] = {}
         self.outages = 0
 
@@ -150,7 +156,6 @@ class BackhaulLink:
         payload_bytes: int,
         deliver: Callable[[], None],
         on_lost: Optional[Callable[[str], None]] = None,
-        label: str = "backhaul-transit",
     ) -> bool:
         """Send one frame; ``deliver`` fires after transit on success.
 
@@ -177,11 +182,13 @@ class BackhaulLink:
             transit += self.rng.uniform(0.0, jitter_bound)
 
         def _arrive() -> None:
+            self.in_flight -= 1
             self.delivered += 1
             self.world.metrics.increment(f"tier/backhaul/{self.name}/delivered")
             deliver()
 
-        self.world.engine.schedule(transit, _arrive, label=label)
+        self.in_flight += 1
+        self.world.engine.schedule(transit, _arrive, label="backhaul-transit")
         return True
 
     def _lose(self, reason: str, on_lost: Optional[Callable[[str], None]]) -> None:
@@ -204,5 +211,5 @@ class BackhaulLink:
             "sent": self.sent,
             "delivered": self.delivered,
             "lost": self.lost,
-            "in_flight": self.world.engine.pending_labeled("backhaul-transit"),
+            "in_flight": self.in_flight,
         }

@@ -21,6 +21,12 @@ from ..geometry import Vec2
 _report_counter = itertools.count(1)
 
 
+def reset_report_ids() -> None:
+    """Rewind the process-global event-report id counter to ``rep-1``."""
+    global _report_counter
+    _report_counter = itertools.count(1)
+
+
 class EventKind(enum.Enum):
     """Road event categories used by the validation experiments."""
 

@@ -19,10 +19,14 @@ from __future__ import annotations
 
 import json
 import os
+import pathlib
 
 import pytest
 
 from repro.campaign import (
+    ARCHITECTURES,
+    COMPATIBLE_MOBILITY,
+    DETERMINISTIC_ARTIFACTS,
     BaselineStore,
     CampaignOrchestrator,
     CampaignSpec,
@@ -33,6 +37,7 @@ from repro.campaign import (
     classify,
     direction_for,
     execute_run,
+    load_baseline_file,
     load_manifest,
     strip_volatile,
 )
@@ -190,12 +195,14 @@ class TestExecuteRun:
         assert vector["vector"] == outcome.vector
         assert outcome.vector["invariants/checks"] > 0
 
-    def test_replays_byte_identically(self, tmp_path):
-        spec = RunSpec(**self.SPEC)
+    @pytest.mark.parametrize("architecture", ARCHITECTURES)
+    def test_replays_byte_identically(self, tmp_path, architecture):
+        mobility = COMPATIBLE_MOBILITY[architecture][0]
+        spec = RunSpec(**{**self.SPEC, "architecture": architecture, "mobility": mobility})
         first = execute_run(spec, str(tmp_path / "a"))
         second = execute_run(spec, str(tmp_path / "b"))
         assert first.vector == second.vector
-        for name in ("report.json", "trace.jsonl", "events.jsonl", "vector.json"):
+        for name in DETERMINISTIC_ARTIFACTS:
             with open(os.path.join(first.artifact_dir, name), "rb") as fa:
                 with open(os.path.join(second.artifact_dir, name), "rb") as fb:
                     assert fa.read() == fb.read(), name
@@ -393,3 +400,25 @@ class TestReporter:
         assert "timing" not in strip_volatile(document)
         markdown = open(paths["markdown"]).read()
         assert "FAIL" in markdown and "goodput" in markdown
+
+
+class TestSmokeGate:
+    """``campaigns/smoke.json`` on 2 spawn workers against its blessed baseline."""
+
+    def test_smoke_campaign_matches_blessed_baseline(self, tmp_path):
+        repo = pathlib.Path(__file__).resolve().parents[1]
+        spec = CampaignSpec.load(str(repo / "campaigns" / "smoke.json"))
+        baseline = load_baseline_file(str(repo / "campaigns" / "baselines" / "smoke.json"))
+        run = CampaignOrchestrator(spec, str(tmp_path), workers=2).execute()
+        report = Reporter.for_spec(spec).compare(run, baseline)
+        report.write(str(tmp_path))
+        assert [f.describe() for f in report.regressions] == []
+        assert run.violations == []
+        # Tolerance bands are for cell aggregates; a seeded run vector
+        # that drifted at all from its blessed replay means determinism
+        # broke.
+        blessed = {
+            key: {name: float(value) for name, value in vector.items()}
+            for key, vector in baseline["runs"].items()
+        }
+        assert run.run_vectors() == blessed

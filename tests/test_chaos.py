@@ -15,7 +15,9 @@ from repro.chaos import (
     Violation,
     campaign_size,
     ddmin,
+    dynamic_scenario,
     generate_plan,
+    infrastructure_scenario,
     stationary_scenario,
 )
 from repro.chaos.invariants import ChannelConservation, SingleHead
@@ -230,6 +232,18 @@ class TestRunner:
         clean = next(r.seed for r in runner.run_campaign([1, 2, 3]).results if r.ok)
         with pytest.raises(ChaosError):
             runner.capture_reproducer(clean)
+
+    @pytest.mark.parametrize(
+        "factory", [stationary_scenario, dynamic_scenario, infrastructure_scenario]
+    )
+    def test_hardened_architecture_holds_every_invariant(self, factory):
+        runner = ChaosRunner(factory, run_length_s=45.0)
+        campaign = runner.run_campaign(range(101, 107))
+        assert campaign.runs == 6 and campaign.total_injected > 0
+        reproducers = [
+            runner.capture_reproducer(seed).describe() for seed in campaign.failing_seeds
+        ]
+        assert not reproducers, "\n".join([campaign.describe(), *reproducers])
 
     def test_weakened_cloud_minimizes_and_replays(self):
         runner = ChaosRunner(

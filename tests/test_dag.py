@@ -6,12 +6,11 @@ import itertools
 
 import pytest
 
-from repro.chaos import Conservation, InvariantSuite
+from repro.chaos import CHAOS_BACKOFF, Conservation, InvariantSuite
 from repro.core import (
-    BackoffPolicy,
+    BacklogEstimator,
     CheckpointHandoverPolicy,
     ResourceOffer,
-    Task,
     VehicularCloud,
 )
 from repro.dag import (
@@ -60,9 +59,7 @@ def build_cloud(world, members=5, mips=100.0, heterogeneous=False,
         world,
         "dag-test-vc",
         handover_policy=CheckpointHandoverPolicy(),
-        retry_backoff=BackoffPolicy(
-            base_delay_s=0.5, multiplier=2.0, max_delay_s=8.0, jitter_fraction=0.1
-        ),
+        retry_backoff=CHAOS_BACKOFF,
     )
     for index, vehicle in enumerate(vehicles):
         rate = mips + (10.0 * index if heterogeneous else 0.0)
@@ -482,6 +479,62 @@ class TestGraphFailure:
         assert scheduler.stats.outputs_lost == 1
         world.run_for(500.0)
         assert record.state is GraphState.COMPLETED
+
+
+class TestChurnSmoke:
+    """A staggered graph stream through the dependable scheduler while a
+    third of the heterogeneous fleet crashes mid-run."""
+
+    def test_every_graph_terminates_with_ledgers_intact(self):
+        world = World(ScenarioConfig(seed=1717))
+        _v, cloud = build_cloud(world, members=10, mips=70.0, heterogeneous=True)
+        scheduler = DagScheduler(
+            world,
+            cloud,
+            name="smoke",
+            reliability=ReliabilityEstimator(cloud),
+            redundancy=RedundancyPlanner(target_success=0.99, max_replicas=3),
+            checkpointing=True,
+            backlog=BacklogEstimator(cloud),
+        )
+        templates = [
+            pipeline_template([(800.0, 1200.0)] * 3, deadline_s=120.0),
+            map_reduce_template(3, (500.0, 900.0), (600.0, 800.0), deadline_s=120.0),
+        ]
+        rng = world.rng.fork("dag/smoke")
+        for index in range(6):
+            world.engine.schedule_at(
+                index * 5.0,
+                lambda t=templates[index % 2]: scheduler.submit(
+                    t.instantiate(rng, submitter="smoke")
+                ),
+                label="graph-submit",
+            )
+        targets = [m for m in cloud.membership.member_ids() if m != cloud.head_id]
+        plan = FaultPlan(1717).random_crashes(3, (10.0, 60.0), targets=targets)
+        FaultInjector(world, plan, cloud=cloud).arm()
+        suite = InvariantSuite(
+            [Conservation(cloud), Conservation(scheduler)], metrics=world.metrics
+        )
+        suite.attach(world, check_interval_s=0.5)
+        world.run_until(240.0)
+
+        acc = scheduler.accounting()
+        stats = scheduler.stats
+        assert acc["graphs_submitted"] == 6
+        assert [r for r in scheduler.records if r.state is GraphState.RUNNING] == []
+        assert sum(stats.failure_reasons.values()) == stats.graphs_failed
+        assert acc["replicas_live"] == 0
+        assert suite.checks_run > 0
+        assert [v.describe() for v in suite.violations] == []
+        assert cloud.stats.worker_crashes > 0, "the fault plan never fired"
+        # Plans made in a candidate drought fall back to the static rule;
+        # the rest must ledger the capacity-aware prediction.
+        assert any(
+            run.last_plan is not None and run.last_plan.predicted_deadline_hit is not None
+            for record in scheduler.records
+            for run in record.stages.values()
+        ), "the capacity-aware planner path never engaged"
 
 
 class TestDagConservationInvariant:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.chaos import Conservation, InvariantSuite
+from repro.chaos.scenarios import stationary_architecture
 from repro.core import (
     CheckpointHandoverPolicy,
     GatedAllocator,
@@ -21,6 +23,7 @@ from repro.mobility import StationaryModel
 from repro.mobility.vehicle import reset_vehicle_ids
 from repro.serve import (
     AdmitAll,
+    BatchingPolicy,
     BoundedPriorityQueue,
     BreakerState,
     BurstyArrivals,
@@ -40,6 +43,7 @@ from repro.serve import (
     TenantFairShareAdmission,
     TenantSpec,
     WorkloadGenerator,
+    tenant_mix,
 )
 from repro.sim import ScenarioConfig, SeededRng, World
 
@@ -575,3 +579,44 @@ class TestGatewayWiring:
             return world.metrics.snapshot()
 
         assert run() == run()
+
+
+class TestOverloadSmoke:
+    """The protected gateway at ~2x capacity with a batchable small tenant."""
+
+    def test_shedding_and_batching_engage_with_ledgers_intact(self):
+        scenario = stationary_architecture(1916)
+        world = scenario.world
+        gateway = ServiceGateway.protected(
+            world,
+            scenario.cloud,
+            name="smoke",
+            batching=BatchingPolicy(
+                max_batch_size=4, max_member_work_mi=50.0, max_batch_work_mi=160.0
+            ),
+        )
+        # 7 workers x 100 MIPS vs ~185 MI tasks is ~3.8 tasks/s; the
+        # telemetry smalls must coalesce whenever several sit queued.
+        tenants = tenant_mix(7.0) + [
+            TenantSpec(
+                name="telemetry", arrivals=PoissonArrivals(10.0),
+                work_mi_range=(20.0, 40.0), deadline_s=6.0, priority=1,
+            ),
+        ]
+        WorkloadGenerator(world, gateway, tenants, horizon_s=60.0).start()
+        suite = InvariantSuite(
+            scenario.invariants + [Conservation(gateway)], metrics=world.metrics
+        )
+        suite.attach(world, check_interval_s=0.5)
+        world.run_until(90.0)
+
+        stats = gateway.stats
+        acc = gateway.accounting()
+        assert stats.shed > 0, "load shedder never fired under 2x overload"
+        assert stats.batches_dispatched > 0, "batching never coalesced a dispatch"
+        assert sum(stats.shed_reasons.values()) == stats.shed
+        assert sum(stats.rejection_reasons.values()) == stats.rejected
+        assert suite.checks_run > 0
+        assert [v.describe() for v in suite.violations] == []
+        assert acc["offered"] == acc["admitted"] + acc["rejected"]
+        assert acc["queued"] == 0 and acc["inflight"] == 0

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.chaos import Conservation, InvariantSuite
+from repro.chaos import Conservation, InvariantSuite, reset_global_ids
 from repro.core import (
     CheckpointHandoverPolicy,
     CloudFederation,
@@ -22,14 +22,13 @@ from repro.core import (
     Task,
     VehicularCloud,
 )
-from repro.core.tasks import TaskState, reset_task_ids
+from repro.core.tasks import TaskState
 from repro.errors import ConfigurationError
 from repro.faults.backhaul import BackhaulFaultDriver
 from repro.faults.plan import FaultPlan
 from repro.geometry import Vec2
 from repro.infra.central_cloud import CentralCloud
 from repro.mobility import StationaryModel
-from repro.mobility.vehicle import reset_vehicle_ids
 from repro.serve import HedgePolicy, ServiceGateway, ServiceRequest
 from repro.sim import ScenarioConfig, World
 from repro.tier import (
@@ -131,6 +130,24 @@ class TestBackhaulLink:
         assert outcomes == ["lost:outage", "delivered"]
         world.run_until(11.0)
         assert link.available()
+
+    def test_ledger_is_per_link(self, world):
+        """Two links in one world each count only their own frames."""
+        wan = BackhaulLink(world, "wan", base_latency_s=1.0)
+        metro = BackhaulLink(world, "metro", base_latency_s=2.0)
+        wan.transmit(100, deliver=lambda: None)
+        metro.transmit(100, deliver=lambda: None)
+        metro.transmit(100, deliver=lambda: None)
+        world.run_until(0.5)
+        assert wan.accounting()["in_flight"] == 1
+        assert metro.accounting()["in_flight"] == 2
+        assert Conservation(wan).check(world.now) == []
+        assert Conservation(metro).check(world.now) == []
+        world.run_until(1.5)
+        assert (wan.accounting()["in_flight"], metro.accounting()["in_flight"]) == (0, 2)
+        metro.delivered += 1  # a phantom delivery breaks the balance
+        (violation,) = Conservation(metro).check(world.now)
+        assert violation.invariant == "backhaul-conservation"
 
     def test_end_outage_restores_immediately(self, world):
         link = BackhaulLink(world)
@@ -504,31 +521,73 @@ class TestTierHealth:
 # ---------------------------------------------------------------------------
 
 
+TIER_SMOKE_TASKS = 20
+
+
+def tier_smoke(seed):
+    """Deadline tasks speculating across a parked v-cloud and a central
+    cloud through a mid-run backhaul outage; returns the run handles."""
+    world = World(ScenarioConfig(seed=seed))
+    model = StationaryModel(world, positions=[Vec2(i * 30.0, 0.0) for i in range(6)])
+    vehicles = model.populate(6)
+    cloud = VehicularCloud(world, "tier-smoke-local")
+    for vehicle in vehicles:
+        cloud.admit(vehicle, offer=ResourceOffer(vehicle.vehicle_id, 200.0, 10**9, 1e6))
+    central = CentralCloud(world, compute_mips=50_000.0, wan_delay_s=0.04)
+    link = BackhaulLink(
+        world, "smoke-wan", base_latency_s=0.05, jitter_s=0.01, loss_probability=0.02
+    )
+    topology = TierTopology()
+    topology.register(VCloudTier(world, "local-vc", "local", cloud))
+    topology.register(CentralCloudTier(world, "central", central, link))
+    offloader = TieredOffloader(world, topology, health=TierHealthTracker(world), name="smoke")
+    for index in range(TIER_SMOKE_TASKS):
+        world.engine.schedule_at(
+            index * 2.0,
+            lambda: offloader.submit(
+                Task(work_mi=600.0, deadline_s=10.0, submitter="smoke"), policy="speculate"
+            ),
+            label="tier-smoke-submit",
+        )
+    driver = BackhaulFaultDriver(
+        world.engine, link, FaultPlan(seed).partition(15.0, duration_s=10.0)
+    )
+    driver.arm()
+    suite = InvariantSuite(
+        [Conservation(cloud), Conservation(offloader), Conservation(link)],
+        metrics=world.metrics,
+    )
+    suite.attach(world, check_interval_s=0.5)
+    world.run_until(80.0)
+    return SimpleNamespace(world=world, offloader=offloader, suite=suite, driver=driver)
+
+
 class TestDeterminismAndConservation:
-    def _run_smoke(self, seed):
-        from repro.tier.smoke import HORIZON_S, build
-
-        reset_task_ids()
-        reset_vehicle_ids()
-        world, offloader, suite, driver = build(seed)
-        world.run_until(HORIZON_S)
-        return world, offloader, suite
-
     def test_seeded_replay_is_identical(self):
-        world1, off1, suite1 = self._run_smoke(77)
-        world2, off2, suite2 = self._run_smoke(77)
+        first = tier_smoke(77)
+        reset_global_ids()
+        second = tier_smoke(77)
+        off1, off2 = first.offloader, second.offloader
         assert off1.accounting() == off2.accounting()
         assert off1.stats.wins_by_tier == off2.stats.wins_by_tier
         assert off1.stats.degraded == off2.stats.degraded
-        assert world1.metrics.snapshot() == world2.metrics.snapshot()
-        assert not suite1.violations and not suite2.violations
+        assert first.world.metrics.snapshot() == second.world.metrics.snapshot()
+        assert not first.suite.violations and not second.suite.violations
 
     def test_smoke_scenario_is_conservation_clean(self):
-        world, offloader, suite = self._run_smoke(2024)
-        assert suite.checks_run > 0
-        assert suite.violations == []
-        acc = offloader.accounting()
+        """Speculation through a backhaul outage keeps every deadline."""
+        run = tier_smoke(2024)
+        stats = run.offloader.stats
+        acc = run.offloader.accounting()
+        assert run.suite.checks_run > 0
+        assert [v.describe() for v in run.suite.violations] == []
+        assert acc["submitted"] == TIER_SMOKE_TASKS
         assert acc["live"] == 0 and acc["attempts_live"] == 0
+        # The outage costs latency, never deadline safety.
+        assert (stats.deadline_hits, stats.deadline_misses) == (TIER_SMOKE_TASKS, 0)
+        assert run.driver.ledger, "the backhaul outage never fired"
+        assert stats.degraded.get(BACKHAUL_DEGRADED, 0) > 0
+        assert stats.speculated > 0 and stats.attempts_cancelled > 0
 
 
 # ---------------------------------------------------------------------------

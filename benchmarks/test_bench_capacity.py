@@ -35,10 +35,9 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import render_table
-from repro.chaos.invariants import Conservation, InvariantSuite
+from repro.chaos import Conservation, InvariantSuite, reset_global_ids
 from repro.core import BackoffPolicy, BacklogEstimator, ResourceOffer, VehicularCloud
 from repro.core.handover import DropPolicy
-from repro.core.tasks import reset_task_ids
 from repro.dag import (
     DagScheduler,
     GraphState,
@@ -46,12 +45,10 @@ from repro.dag import (
     ReliabilityEstimator,
     StageSpec,
     TaskGraph,
-    reset_graph_ids,
 )
 from repro.faults import FaultInjector, FaultPlan
 from repro.geometry import Vec2
 from repro.mobility import StationaryModel
-from repro.mobility.vehicle import reset_vehicle_ids
 from repro.serve import BatchingPolicy, ServiceGateway, ServiceRequest
 from repro.sim import ScenarioConfig, World
 
@@ -142,9 +139,7 @@ def _run_capacity_scenario(intensity: float, load: float, config: str, seed: int
     enabling the deadline-hit objective; ``static`` plans from survival
     alone (the pre-fix behavior).
     """
-    reset_task_ids()
-    reset_vehicle_ids()
-    reset_graph_ids()
+    reset_global_ids()
     world = World(ScenarioConfig(seed=seed))
     cloud = _build_cloud(world)
 
@@ -372,9 +367,7 @@ BATCH_HORIZON_S = 80.0
 
 def _run_batching_scenario(batched: bool, seed: int = 1805):
     """A dispatch-slot-starved gateway fed a stream of small requests."""
-    reset_task_ids()
-    reset_vehicle_ids()
-    reset_graph_ids()
+    reset_global_ids()
     world = World(ScenarioConfig(seed=seed))
     model = StationaryModel(
         world, positions=[Vec2(i * 40.0, 0.0) for i in range(BATCH_MEMBERS)]

@@ -48,7 +48,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import render_table
-from repro.chaos.invariants import Conservation, InvariantSuite
+from repro.chaos import Conservation, InvariantSuite, reset_global_ids
 from repro.core import (
     BackoffPolicy,
     DynamicVCloud,
@@ -56,7 +56,6 @@ from repro.core import (
     VehicularCloud,
 )
 from repro.core.handover import DropPolicy
-from repro.core.tasks import reset_task_ids
 from repro.dag import (
     DagScheduler,
     GraphState,
@@ -65,12 +64,10 @@ from repro.dag import (
     StageSpec,
     TaskGraph,
     chain,
-    reset_graph_ids,
 )
 from repro.faults import FaultInjector, FaultPlan
 from repro.geometry import Vec2
 from repro.mobility import StationaryModel
-from repro.mobility.vehicle import reset_vehicle_ids
 from repro.sim import ScenarioConfig, World
 
 from helpers import highway_world
@@ -130,9 +127,7 @@ def _run_dag_scenario(intensity: float, config: str, seed: int = 1701):
     handover and replicated storage — and the identical crash
     schedule; only the scheduler's execution strategy differs.
     """
-    reset_task_ids()
-    reset_vehicle_ids()
-    reset_graph_ids()
+    reset_global_ids()
     world = World(ScenarioConfig(seed=seed))
     model = StationaryModel(
         world, positions=[Vec2(i * 40.0, 0.0) for i in range(MEMBERS)]
@@ -340,9 +335,7 @@ MOBILE_DEADLINE_S = 60.0
 
 def _run_mobile_dag(seed: int):
     """The dependable configuration on a dynamic (moving) v-cloud."""
-    reset_task_ids()
-    reset_vehicle_ids()
-    reset_graph_ids()
+    reset_global_ids()
     world, model, _highway = highway_world(seed, vehicle_count=30, length_m=3000)
     arch = DynamicVCloud(world, model)
     arch.start()

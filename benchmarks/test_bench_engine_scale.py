@@ -16,15 +16,14 @@ n ∈ {100, 300, 1000} vehicles.
 
 from __future__ import annotations
 
-import itertools
 import time
 
 import pytest
 
 from repro.analysis import render_table, topology_stats
+from repro.chaos import reset_global_ids
 from repro.core import DynamicVCloud, Task
 from repro.mobility import Highway, HighwayModel
-from repro.mobility import vehicle as vehicle_module
 from repro.net import BeaconService, VehicleNode, WirelessChannel
 from repro.net.clustering import MobilityClustering
 from repro.sim import Engine, ScenarioConfig, World
@@ -97,19 +96,11 @@ E13_SIM_SECONDS = 2.0
 E13_FLEETS = (100, 300, 1000)
 
 
-def _reset_vehicle_ids() -> None:
-    """Rewind the process-global vehicle id counter.
-
-    Vehicle ids seed the per-node beacon RNG forks
-    (``world.rng.fork(f"beacon/{node_id}")``), so two runs can only be
-    compared when both start from the same id sequence.
-    """
-    vehicle_module._vehicle_counter = itertools.count(1)
-
-
 def _e13_run(vehicle_count: int, use_index: bool):
     """One seeded beaconing + clustering scene; returns (fingerprint, seconds)."""
-    _reset_vehicle_ids()
+    # Vehicle ids seed the per-node beacon RNG forks, so two runs can
+    # only be compared when both start from the same id sequence.
+    reset_global_ids()
     world, model, _highway = highway_world(E13_SEED, vehicle_count)
     channel = WirelessChannel(world, use_spatial_index=use_index)
     nodes = [VehicleNode(world, channel, vehicle) for vehicle in model.vehicles]

@@ -23,15 +23,14 @@ Two claims are asserted:
 
 from __future__ import annotations
 
-import itertools
 import time
 
 import pytest
 
 from repro.analysis import render_table
+from repro.chaos import reset_global_ids
 from repro.core import ResourceOffer, Task, VehicularCloud
 from repro.faults import FaultInjector, FaultPlan
-from repro.mobility import vehicle as vehicle_module
 from repro.net import BeaconService, VehicleNode, WirelessChannel
 
 from helpers import highway_world, poisson_task_stream
@@ -44,10 +43,6 @@ E14_MODES = ("off", "tagged", "tagged+profile", "all")
 E14_OVERHEAD_LIMIT = 0.05
 
 
-def _reset_vehicle_ids() -> None:
-    vehicle_module._vehicle_counter = itertools.count(1)
-
-
 def _e14_run(mode: str):
     """One seeded scene in one observability mode.
 
@@ -55,7 +50,7 @@ def _e14_run(mode: str):
     full metrics snapshot (the determinism fingerprint) and ``stats``
     carries span/event counts for the sampling table.
     """
-    _reset_vehicle_ids()
+    reset_global_ids()
     world, model, _highway = highway_world(E14_SEED, E14_VEHICLES)
     obs = None
     if mode != "off":

@@ -28,6 +28,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import render_table
+from repro.chaos import reset_global_ids
 from repro.core import (
     CheckpointHandoverPolicy,
     DynamicVCloud,
@@ -35,11 +36,9 @@ from repro.core import (
     ResourceOffer,
     VehicularCloud,
 )
-from repro.core.tasks import reset_task_ids
 from repro.geometry import Vec2
 from repro.infra import deploy_rsus_on_highway
 from repro.mobility import Highway, HighwayModel, StationaryModel
-from repro.mobility.vehicle import reset_vehicle_ids
 from repro.net import WirelessChannel
 from repro.serve import MEAN_WORK_MI, ServiceGateway, WorkloadGenerator, tenant_mix
 from repro.sim import ScenarioConfig, World
@@ -72,8 +71,7 @@ def measure(world: World, gateway: ServiceGateway) -> dict:
 
 
 def run_stationary(load: float, protected: bool, seed: int = SEED) -> dict:
-    reset_task_ids()
-    reset_vehicle_ids()
+    reset_global_ids()
     world = World(ScenarioConfig(seed=seed))
     model = StationaryModel(
         world, positions=[Vec2(i * 40.0, 0.0) for i in range(8)]
@@ -97,8 +95,7 @@ def run_stationary(load: float, protected: bool, seed: int = SEED) -> dict:
 
 
 def run_mobile(architecture: str, load: float, seed: int = SEED, protected: bool = True) -> dict:
-    reset_task_ids()
-    reset_vehicle_ids()
+    reset_global_ids()
     if architecture == "dynamic":
         world = World(ScenarioConfig(seed=seed, vehicle_count=12))
         model = HighwayModel(world, Highway(length_m=3000.0))

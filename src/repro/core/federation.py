@@ -8,9 +8,10 @@ of the groups."  The federation watches a set of dynamic v-clouds and:
 * **splits** a cloud when its member spread exceeds the coordination
   diameter — the far half forms a new cloud around its own best captain.
 
-Merges and splits are counted and, on an observability-enabled world,
-emitted as structured events (``federation`` subsystem: ``cloud_merged``
-/ ``cloud_split``) with metrics under the stable ``federation/`` prefix
+Merges and splits are counted by one :class:`~repro.sim.metrics.Ledger`
+call each and, on an observability-enabled world, emitted as structured
+events (``federation`` subsystem: ``cloud_merged`` / ``cloud_split``)
+with metrics under the stable ``federation/`` prefix
 (``federation/merges``, ``federation/splits``, plus ``clouds`` and
 ``members`` gauges), so tier churn shows up in campaign vectors instead
 of hiding in bare counters.
@@ -24,6 +25,7 @@ from typing import Callable, Dict, List, Optional
 from ..errors import MembershipError
 from ..geometry import Vec2
 from ..mobility.vehicle import Vehicle
+from ..sim.metrics import Ledger
 from ..sim.world import World
 from .election import BrokerCandidate, BrokerElection
 from .vcloud import VehicularCloud
@@ -61,6 +63,7 @@ class CloudFederation:
         self.election = BrokerElection()
         self.merges = 0
         self.splits = 0
+        self.ledger = Ledger(world, self, "federation", "federation")
         self._task = None
 
     # -- lifecycle ------------------------------------------------------------
@@ -151,14 +154,11 @@ class CloudFederation:
                 survivor.pool.add_offer(offer)
                 moved += 1
         self.clouds.remove(absorbed)
-        self.merges += 1
-        self.world.metrics.increment("federation/merges")
-        self._note_churn(
-            "cloud_merged",
-            survivor=survivor.cloud_id,
-            absorbed=absorbed.cloud_id,
-            moved_members=moved,
+        self.ledger.record(
+            "merges", event="cloud_merged", survivor=survivor.cloud_id,
+            absorbed=absorbed.cloud_id, moved_members=moved,
         )
+        self._note_churn()
 
     def _try_splits(self) -> None:
         for cloud in list(self.clouds):
@@ -211,23 +211,17 @@ class CloudFederation:
             return
         new_cloud.head_id = self.election.elect(candidates).winner_id
         self.clouds.append(new_cloud)
-        self.splits += 1
-        self.world.metrics.increment("federation/splits")
-        self._note_churn(
-            "cloud_split",
-            parent=cloud.cloud_id,
-            new_cloud=new_cloud.cloud_id,
-            seceded_members=len(candidates),
+        self.ledger.record(
+            "splits", event="cloud_split", parent=cloud.cloud_id,
+            new_cloud=new_cloud.cloud_id, seceded_members=len(candidates),
             new_head=new_cloud.head_id,
         )
+        self._note_churn()
 
-    def _note_churn(self, event: str, **attrs: object) -> None:
-        """Ledger one merge/split under the stable ``federation/`` prefix."""
+    def _note_churn(self) -> None:
+        """Refresh the ``federation/`` size gauges after a merge or split."""
         self.world.metrics.set_gauge("federation/clouds", float(self.cloud_count()))
         self.world.metrics.set_gauge("federation/members", float(self.total_members()))
-        events = self.world.events
-        if events is not None:
-            events.emit("federation", event, severity="info", **attrs)
 
     # -- introspection ------------------------------------------------------------
 

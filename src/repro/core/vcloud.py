@@ -23,6 +23,7 @@ from ..errors import QuorumUnreachableError, ResourceError
 from ..faults.recovery import BackoffPolicy, WorkerLeases
 from ..mobility.vehicle import Vehicle
 from ..sim.engine import EventHandle, PeriodicTask
+from ..sim.metrics import Ledger
 from ..sim.world import World
 from .handover import CheckpointHandoverPolicy, HandoverPolicy
 from .membership import MembershipManager
@@ -230,6 +231,10 @@ class VehicularCloud:
         self.membership = MembershipManager(cloud_id, max_members)
         self.pool = ResourcePool()
         self.stats = CloudStats()
+        self.ledger = Ledger(
+            world, self.stats, cloud_id, "vcloud", cloud=cloud_id,
+            reasons={"failed": self.stats.failure_reasons},
+        )
         self.records: List[TaskRecord] = []
         self._executions: Dict[str, _Execution] = {}  # task_id -> execution
         self._retries: Dict[str, int] = {}
@@ -278,29 +283,20 @@ class VehicularCloud:
         """Terminally fail a task with a typed, ledgered reason.
 
         Every failure path funnels through here so no task can fail
-        silently: the reason lands in ``stats.failure_reasons``, the
-        metrics registry (``<cloud>/task_failures/<reason>``), the
-        structured event log, the task's trace span, and the finish
-        listeners.
+        silently: one :meth:`~repro.sim.metrics.Ledger.record` call lands
+        the reason in ``stats.failure_reasons``, the metrics registry
+        (``<cloud>/task_failures/<reason>``) and the structured event
+        log; the task's trace span and the finish listeners follow.
         """
         record.fail()
-        self.stats.failed += 1
-        self.stats.failure_reasons[reason] = self.stats.failure_reasons.get(reason, 0) + 1
-        self.world.metrics.increment(f"{self.cloud_id}/task_failures/{reason}")
-        self._end_task_span(record, "failed", link_faults=link_faults, reason=reason)
-        self._emit(
-            "task_failed", severity="warning",
-            task_id=record.task.task_id, reason=reason,
+        self.ledger.record(
+            "failed", reason, metric="task_failures", event="task_failed",
+            severity="warning", task_id=record.task.task_id,
         )
+        self._end_task_span(record, "failed", link_faults=link_faults, reason=reason)
         self._notify_finished(record, reason)
 
     # -- observability hooks -------------------------------------------------------
-
-    def _emit(self, name: str, severity: str = "info", **attrs: Any) -> None:
-        """Emit a structured event for this cloud (no-op when untelemetered)."""
-        events = self.world.events
-        if events is not None:
-            events.emit("vcloud", name, severity=severity, cloud=self.cloud_id, **attrs)
 
     def task_span(self, task_id: str) -> Optional["Span"]:
         """The root span of a task's trace, when the run is traced."""
@@ -413,7 +409,7 @@ class VehicularCloud:
                     "deadline_s": task.deadline_s,
                 },
             )
-        self._emit("task_submitted", task_id=task.task_id)
+        self.ledger.emit("task_submitted", task_id=task.task_id)
         self._try_assign(record)
         return record
 
@@ -540,7 +536,7 @@ class VehicularCloud:
             self._end_task_span(
                 record, "ok", latency_s=latency, met_deadline=met
             )
-            self._emit(
+            self.ledger.emit(
                 "task_completed", task_id=record.task.task_id, latency_s=latency
             )
             self._notify_finished(record, "completed")
@@ -611,7 +607,7 @@ class VehicularCloud:
                     "requeue": outcome.requeue,
                 },
             )
-        self._emit(
+        self.ledger.emit(
             "task_handover" if handed_over else "task_dropped",
             severity="info" if handed_over else "warning",
             task_id=record.task.task_id,
@@ -652,10 +648,9 @@ class VehicularCloud:
                     tracer.link_active_faults(execution.span)
         if self.storage is not None:
             self.storage.set_offline(vehicle_id)
-        self.stats.worker_crashes += 1
-        self.world.metrics.increment(f"{self.cloud_id}/worker_crashes")
-        self._emit(
-            "worker_crashed", severity="warning", worker=vehicle_id, frozen_tasks=frozen
+        self.ledger.record(
+            "worker_crashes", event="worker_crashed", severity="warning",
+            worker=vehicle_id, frozen_tasks=frozen,
         )
         return frozen
 
@@ -687,10 +682,8 @@ class VehicularCloud:
                     execution.span, "worker_stalled",
                     worker=vehicle_id, extra_s=duration_s,
                 )
-        self.stats.worker_stalls += 1
-        self.world.metrics.increment(f"{self.cloud_id}/worker_stalls")
-        self._emit(
-            "worker_stalled", severity="warning",
+        self.ledger.record(
+            "worker_stalls", event="worker_stalled", severity="warning",
             worker=vehicle_id, duration_s=duration_s, stalled_tasks=stalled,
         )
         return stalled
@@ -736,10 +729,8 @@ class VehicularCloud:
                 lambda v=vehicle_id: self._storage_revive(v),
                 label="storage-revive",
             )
-        self.stats.worker_reboots += 1
-        self.world.metrics.increment(f"{self.cloud_id}/worker_reboots")
-        self._emit(
-            "worker_rebooted", severity="warning",
+        self.ledger.record(
+            "worker_reboots", event="worker_rebooted", severity="warning",
             worker=vehicle_id, downtime_s=downtime_s, lost_tasks=len(affected),
         )
         return len(affected)
@@ -813,7 +804,7 @@ class VehicularCloud:
             # post-mortem walk a stale/failed read back to its fault.
             tracer.link_active_faults(span)
             tracer.end_span(span, "degraded", {"reason": "quorum_unreachable"})
-        self._emit(
+        self.ledger.emit(
             "storage_degraded", severity="error", operation=operation, file_id=file_id
         )
 
@@ -941,9 +932,10 @@ class VehicularCloud:
         for member_id in self.leases.expired(now):
             self.leases.revoke(member_id)
             if member_id in self.membership:
-                self.stats.lease_evictions += 1
-                self.world.metrics.increment(f"{self.cloud_id}/lease_evictions")
-                self._emit("lease_evicted", severity="warning", worker=member_id)
+                self.ledger.record(
+                    "lease_evictions", event="lease_evicted", severity="warning",
+                    worker=member_id,
+                )
                 for listener in self._lease_eviction_listeners:
                     listener(member_id)
                 self.member_leave(member_id)

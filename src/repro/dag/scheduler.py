@@ -24,11 +24,11 @@ allocator/lease machinery, and makes the execution survive worker churn:
   exactly the stages whose outputs are gone.
 * **Typed terminal states** — a graph either completes or fails with a
   typed reason (``deadline``, ``stage_exhausted``, ``cancelled``) that
-  is ledgered into :attr:`DagStats.failure_reasons`, the metrics
-  registry (``dag/<name>/graph_failures/<reason>``), the structured
-  event log, and the graph's ``dag.lifecycle`` trace (per-stage
-  ``dag.stage`` child spans parent the cloud's ``task.lifecycle``
-  spans, so a trace walks submit → stage → replica → fault).
+  one ledger call lands in :attr:`DagStats.failure_reasons` and
+  ``dag/<name>/graph_failures/<reason>``; the ``graph_failed`` event and
+  the graph's ``dag.lifecycle`` trace follow (per-stage ``dag.stage``
+  child spans parent the cloud's ``task.lifecycle`` spans, so a trace
+  walks submit → stage → replica → fault).
 
 Conservation contract (:attr:`DagScheduler.balances`, checked by the
 chaos ``Conservation`` invariant as ``dag-conservation`` together with
@@ -48,6 +48,7 @@ from ..core.scheduler import GatedAllocator, WorkerCandidate, candidates_from_po
 from ..core.tasks import Task, TaskRecord, TaskState
 from ..core.vcloud import VehicularCloud
 from ..errors import ConfigurationError, ResourceError
+from ..sim.metrics import Ledger
 from ..sim.world import World
 from .graph import GraphState, StageSpec, StageStatus, TaskGraph
 from .redundancy import RedundancyPlan, RedundancyPlanner
@@ -218,6 +219,10 @@ class DagScheduler:
             # worker are queued work only this scheduler knows about.
             backlog.add_backlog_source(self._pending_replica_work_mi)
         self.stats = DagStats()
+        self.ledger = Ledger(
+            world, self.stats, f"dag/{name}", "dag", scheduler=name,
+            reasons={"graphs_failed": self.stats.failure_reasons},
+        )
         self.records: List[GraphRecord] = []
         #: live replica task_id -> (its stage, its race)
         self._replica_index: Dict[str, Tuple[_StageRun, Race[TaskRecord]]] = {}
@@ -243,16 +248,6 @@ class DagScheduler:
         for listener in self._graph_listeners:
             listener(record, reason)
 
-    # -- observability -------------------------------------------------------
-
-    def _emit(self, event: str, severity: str = "info", **attrs: Any) -> None:
-        events = self.world.events
-        if events is not None:
-            events.emit("dag", event, severity=severity, scheduler=self.name, **attrs)
-
-    def _metric(self, suffix: str) -> None:
-        self.world.metrics.increment(f"dag/{self.name}/{suffix}")
-
     # -- submission ----------------------------------------------------------
 
     def submit(self, graph: TaskGraph) -> GraphRecord:
@@ -274,8 +269,10 @@ class DagScheduler:
             stages={spec.name: _StageRun(spec=spec) for spec in graph.stages},
         )
         self.records.append(record)
-        self.stats.graphs_submitted += 1
-        self._metric("graphs_submitted")
+        self.ledger.record(
+            "graphs_submitted", event="graph_submitted",
+            graph_id=graph.graph_id, stages=len(graph.stages),
+        )
         tracer = self.world.tracer
         if tracer is not None:
             record.span = tracer.start_span(
@@ -289,7 +286,6 @@ class DagScheduler:
                     "deadline_s": graph.deadline_s,
                 },
             )
-        self._emit("graph_submitted", graph_id=graph.graph_id, stages=len(graph.stages))
         deadline_at = record.deadline_at()
         if deadline_at is not None:
             # Watchdog: whatever the stages are doing, the graph reaches
@@ -415,8 +411,7 @@ class DagScheduler:
             plan = self.redundancy.plan(survival)
         stage.last_plan = plan
         if plan.load_shed > 0:
-            self.stats.replicas_load_shed += plan.load_shed
-            self._metric("replicas_load_shed")
+            self.ledger.record("replicas_load_shed", n=plan.load_shed)
         if plan.replicas == 0:
             # No eligible worker right now: dispatch a single replica and
             # let the cloud's retry loop wait out the drought.
@@ -448,8 +443,7 @@ class DagScheduler:
         probe = self._stage_task(record, stage, remaining)
         replicas = self._replica_plan(record, stage, probe)
         if replicas > 1:
-            self.stats.redundant_dispatches += 1
-            self._metric("redundant_dispatches")
+            self.ledger.record("redundant_dispatches")
         if tracer is not None and stage.span is not None and stage.last_plan is not None:
             stage.span.attrs["replicas"] = replicas
             stage.span.attrs["predicted_success"] = round(
@@ -478,10 +472,9 @@ class DagScheduler:
             submitted = self.cloud.submit(task, trace_parent=stage.span)
             race.launch(submitted)
             self._replica_index[task.task_id] = (stage, race)
-            self.stats.replicas_submitted += 1
-            self._metric("replicas_submitted")
+            self.ledger.record("replicas_submitted")
         race.close()
-        self._emit(
+        self.ledger.emit(
             "stage_dispatched",
             graph_id=record.graph.graph_id,
             stage=stage.spec.name,
@@ -511,13 +504,11 @@ class DagScheduler:
 
     def _on_replica_finished(self, _replica: TaskRecord, state: str, reason: str) -> None:
         if state in (CANCELLED, FAILED):
-            self.stats.replicas_failed += 1
-            self._metric("replicas_failed")
+            self.ledger.record("replicas_failed")
             if state == CANCELLED:
                 self.stats.replicas_cancelled += 1
         else:
-            self.stats.replicas_completed += 1
-            self._metric("replicas_completed")
+            self.ledger.record("replicas_completed")
 
     def _on_stage_resolved(
         self, record: GraphRecord, stage: _StageRun, race: Race[TaskRecord], reason: str
@@ -535,8 +526,7 @@ class DagScheduler:
     ) -> None:
         stage.status = StageStatus.COMPLETED
         stage.completed_at = self.world.now
-        self.stats.stages_completed += 1
-        self._metric("stages_completed")
+        self.ledger.record("stages_completed")
         # A replica left over from an abandoned dispatch can win; retire
         # the current dispatch's replicas too.
         stage.cancel_replicas()
@@ -553,7 +543,7 @@ class DagScheduler:
                 },
             )
             stage.span = None
-        self._emit(
+        self.ledger.emit(
             "stage_completed",
             graph_id=record.graph.graph_id,
             stage=stage.spec.name,
@@ -594,18 +584,15 @@ class DagScheduler:
         except ResourceError:
             result = None
         if result is None:
-            self.stats.checkpoint_degraded += 1
-            self._metric("checkpoint_degraded")
             stage.output_home = winner.worker_id
-            self._emit(
-                "checkpoint_degraded", severity="warning",
+            self.ledger.record(
+                "checkpoint_degraded", event="checkpoint_degraded", severity="warning",
                 graph_id=record.graph.graph_id, stage=stage.spec.name,
             )
             return
         stage.output_checkpointed = True
         stage.output_home = None
-        self.stats.checkpoint_writes += 1
-        self._metric("checkpoint_writes")
+        self.ledger.record("checkpoint_writes")
 
     # -- failure handling ----------------------------------------------------
 
@@ -623,7 +610,7 @@ class DagScheduler:
             self._fail_graph(record, "stage_exhausted")
             return
         self._end_stage_span(stage, "retry", reason=reason)
-        self._emit(
+        self.ledger.emit(
             "stage_retry", severity="warning",
             graph_id=record.graph.graph_id, stage=stage.spec.name,
             reason=reason, attempt=stage.attempts,
@@ -642,8 +629,7 @@ class DagScheduler:
         thrown away because their outputs were never made durable.
         """
         record.restarts += 1
-        self.stats.graph_restarts += 1
-        self._metric("graph_restarts")
+        self.ledger.record("graph_restarts")
         for run in record.stages.values():
             run.cancel_replicas()
             if run.status is StageStatus.COMPLETED:
@@ -654,7 +640,7 @@ class DagScheduler:
             run.output_home = None
             run.output_checkpointed = False
             run.completed_at = None
-        self._emit(
+        self.ledger.emit(
             "graph_restarted", severity="warning",
             graph_id=record.graph.graph_id, restarts=record.restarts,
         )
@@ -671,11 +657,7 @@ class DagScheduler:
         """Terminally fail a graph with a typed, ledgered reason."""
         record.state = GraphState.FAILED
         record.failure_reason = reason
-        self.stats.graphs_failed += 1
-        self.stats.failure_reasons[reason] = (
-            self.stats.failure_reasons.get(reason, 0) + 1
-        )
-        self._metric(f"graph_failures/{reason}")
+        self.ledger.record("graphs_failed", reason, metric="graph_failures")
         for run in record.stages.values():
             run.cancel_replicas()
             if run.status is StageStatus.RUNNING:
@@ -688,7 +670,7 @@ class DagScheduler:
             tracer.link_active_faults(record.span)
             tracer.end_span(record.span, "failed", {"reason": reason})
             record.span = None
-        self._emit(
+        self.ledger.emit(
             "graph_failed", severity="warning",
             graph_id=record.graph.graph_id, reason=reason,
         )
@@ -697,9 +679,11 @@ class DagScheduler:
     def _complete_graph(self, record: GraphRecord) -> None:
         record.state = GraphState.COMPLETED
         record.completed_at = self.world.now
-        self.stats.graphs_completed += 1
-        self._metric("graphs_completed")
         latency = record.completion_latency_s
+        self.ledger.record(
+            "graphs_completed", event="graph_completed",
+            graph_id=record.graph.graph_id, latency_s=latency,
+        )
         if latency is not None:
             self.stats.graph_latencies_s.append(latency)
             self.world.metrics.observe(f"dag/{self.name}/graph_latency_s", latency)
@@ -714,9 +698,6 @@ class DagScheduler:
                 record.span, "ok", {"latency_s": latency, "met_deadline": met}
             )
             record.span = None
-        self._emit(
-            "graph_completed", graph_id=record.graph.graph_id, latency_s=latency
-        )
         self._notify_finished(record, "completed")
 
     # -- failure-aware re-execution ------------------------------------------
@@ -755,10 +736,8 @@ class DagScheduler:
                     run.completed_at = None
                     record.stages_reexecuted += 1
                     self.stats.stages_reexecuted += 1
-                    self.stats.outputs_lost += 1
-                    self._metric("outputs_lost")
-                    self._emit(
-                        "stage_output_lost", severity="warning",
+                    self.ledger.record(
+                        "outputs_lost", event="stage_output_lost", severity="warning",
                         graph_id=record.graph.graph_id,
                         stage=run.spec.name, worker=worker_id,
                     )

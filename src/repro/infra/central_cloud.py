@@ -23,6 +23,7 @@ from typing import Callable, Dict, Optional
 
 from ..errors import ConfigurationError
 from ..sim.engine import EventHandle
+from ..sim.metrics import Ledger
 from ..sim.world import World
 
 
@@ -70,6 +71,9 @@ class CentralCloud:
         #: Terminal failures broken down by typed reason (``cancelled``,
         #: ``speculation_cancelled``, ...), mirroring ``CloudStats``.
         self.failure_reasons: Dict[str, int] = {}
+        self.ledger = Ledger(
+            world, self, "central_cloud", "cloud", reasons={"requests_failed": self.failure_reasons}
+        )
         self._pending: Dict[str, _PendingRequest] = {}
 
     def submit(
@@ -144,9 +148,7 @@ class CentralCloud:
         return True
 
     def _fail(self, pending: _PendingRequest, reason: str) -> None:
-        self.requests_failed += 1
-        self.failure_reasons[reason] = self.failure_reasons.get(reason, 0) + 1
-        self.world.metrics.increment(f"central_cloud/failures/{reason}")
+        self.ledger.record("requests_failed", reason, metric="failures")
         if pending.on_failure is not None:
             pending.on_failure(reason)
 

@@ -28,6 +28,10 @@ stack experiment E16 measures; the *unprotected* one
 (:meth:`ServiceGateway.unprotected`) admits everything and dispatches
 immediately — the congestion-collapse baseline E16 contrasts with it.
 
+Each outcome is one :meth:`~repro.sim.metrics.Ledger.record` call: a
+typed reason lands in ``rejection_reasons``/``shed_reasons``, the metric
+``serve/<name>/<outcome>/<reason>`` and the ``serve`` event together.
+
 Accounting is conservation-checked (see :attr:`ServiceGateway.balances`
 over :meth:`accounting`): at any instant ``offered == admitted +
 rejected`` and ``admitted == completed + failed + shed + queued +
@@ -51,7 +55,7 @@ from ..dag.graph import TaskGraph
 from ..dag.scheduler import DagScheduler, GraphRecord
 from ..errors import ConfigurationError
 from ..sim.engine import EventHandle, PeriodicTask
-from ..sim.metrics import percentile
+from ..sim.metrics import Ledger, percentile
 from ..sim.world import World
 from .admission import (
     AdmissionPolicy,
@@ -225,6 +229,10 @@ class ServiceGateway:
             # the load the serving path is creating (and vice versa).
             backlog.add_backlog_source(lambda: self.queue.queued_work_mi)
         self.stats = ServeStats()
+        self.ledger = Ledger(
+            world, self.stats, f"serve/{name}", "serve", gateway=name,
+            reasons={"rejected": self.stats.rejection_reasons, "shed": self.stats.shed_reasons},
+        )
         self.latency_tracker = LatencyQuantileTracker()
         self._inflight: Dict[str, _Dispatch] = {}  # primary task_id -> dispatch
         self._attempts: Dict[str, _Dispatch] = {}  # live cloud task_id -> dispatch
@@ -346,16 +354,14 @@ class ServiceGateway:
     def submit(self, request: ServiceRequest) -> bool:
         """Offer one request; returns True when admitted."""
         request.arrived_at = self.world.now
-        self.stats.offered += 1
-        self.world.metrics.increment(f"serve/{self.name}/offered")
+        self.ledger.record("offered")
         reason = self.admission.review(request, self)
         if reason is None and self.paced and self.queue.full:
             reason = self._displace_for(request)
         if reason is not None:
             self._reject(request, reason)
             return False
-        self.stats.admitted += 1
-        self.world.metrics.increment(f"serve/{self.name}/admitted")
+        self.ledger.record("admitted")
         if not self.paced:
             self._dispatch(request)
             return True
@@ -377,8 +383,7 @@ class ServiceGateway:
             raise ConfigurationError(
                 "gateway has no DAG scheduler attached (pass dag= at construction)"
             )
-        self.stats.graphs_offered += 1
-        self.world.metrics.increment(f"serve/{self.name}/graphs_offered")
+        self.ledger.record("graphs_offered")
         record = self.dag.submit(graph)
         self._gateway_graphs[graph.graph_id] = tenant
         return record
@@ -388,18 +393,12 @@ class ServiceGateway:
         if tenant is None:
             return  # not a gateway graph (direct scheduler submission)
         if reason == "completed":
-            self.stats.graphs_completed += 1
-            self.world.metrics.increment(f"serve/{self.name}/graphs_completed")
+            self.ledger.record("graphs_completed")
             return
-        self.stats.graphs_failed += 1
-        self.world.metrics.increment(f"serve/{self.name}/graphs_failed/{reason}")
-        events = self.world.events
-        if events is not None:
-            events.emit(
-                "serve", "graph_failed", severity="warning",
-                gateway=self.name, graph=record.graph.graph_id,
-                tenant=tenant, reason=reason,
-            )
+        self.ledger.record(
+            "graphs_failed", reason, event="graph_failed", severity="warning",
+            graph=record.graph.graph_id, tenant=tenant,
+        )
 
     def _displace_for(self, request: ServiceRequest) -> Optional[str]:
         """Full queue: shed a strictly less urgent victim or reject."""
@@ -414,18 +413,10 @@ class ServiceGateway:
         return "queue_full"
 
     def _reject(self, request: ServiceRequest, reason: str) -> None:
-        self.stats.rejected += 1
-        self.stats.rejection_reasons[reason] = (
-            self.stats.rejection_reasons.get(reason, 0) + 1
+        self.ledger.record(
+            "rejected", reason, event="request_rejected",
+            request=request.request_id, tenant=request.tenant,
         )
-        self.world.metrics.increment(f"serve/{self.name}/rejected/{reason}")
-        events = self.world.events
-        if events is not None:
-            events.emit(
-                "serve", "request_rejected", severity="info",
-                gateway=self.name, request=request.request_id,
-                tenant=request.tenant, reason=reason,
-            )
 
     # -- shedding ------------------------------------------------------------
 
@@ -445,17 +436,11 @@ class ServiceGateway:
         return True
 
     def _account_shed(self, request: ServiceRequest, reason: str) -> None:
-        self.stats.shed += 1
-        self.stats.shed_reasons[reason] = self.stats.shed_reasons.get(reason, 0) + 1
-        self.world.metrics.increment(f"serve/{self.name}/shed/{reason}")
-        events = self.world.events
-        if events is not None:
-            events.emit(
-                "serve", "request_shed", severity="warning",
-                gateway=self.name, request=request.request_id,
-                tenant=request.tenant, reason=reason,
-                waited_s=self.world.now - request.arrived_at,
-            )
+        self.ledger.record(
+            "shed", reason, event="request_shed", severity="warning",
+            request=request.request_id, tenant=request.tenant,
+            waited_s=self.world.now - request.arrived_at,
+        )
 
     # -- dispatch ------------------------------------------------------------
 
@@ -546,16 +531,11 @@ class ServiceGateway:
         members = members if members else [request]
         if len(members) > 1:
             task = self._batch_task(members)
-            self.stats.batches_dispatched += 1
             self.stats.batched_requests += len(members)
-            self.world.metrics.increment(f"serve/{self.name}/batches_dispatched")
-            events = self.world.events
-            if events is not None:
-                events.emit(
-                    "serve", "batch_dispatched", severity="info",
-                    gateway=self.name, tenant=request.tenant,
-                    members=len(members), work_mi=task.work_mi,
-                )
+            self.ledger.record(
+                "batches_dispatched", event="batch_dispatched",
+                tenant=request.tenant, members=len(members), work_mi=task.work_mi,
+            )
         else:
             task = request.task
             deadline = request.deadline_s
@@ -685,15 +665,10 @@ class ServiceGateway:
         self._anti_affinity[hedge_task.task_id] = {primary_worker}
         race.launch(self.cloud.submit(hedge_task))
         self._attempts[hedge_task.task_id] = dispatch
-        self.stats.hedges_launched += 1
-        self.world.metrics.increment(f"serve/{self.name}/hedges_launched")
-        events = self.world.events
-        if events is not None:
-            events.emit(
-                "serve", "hedge_launched", severity="info",
-                gateway=self.name, request=request.request_id,
-                primary_worker=primary_worker, hedge_task=hedge_task.task_id,
-            )
+        self.ledger.record(
+            "hedges_launched", event="hedge_launched", request=request.request_id,
+            primary_worker=primary_worker, hedge_task=hedge_task.task_id,
+        )
 
     # -- terminal outcomes ---------------------------------------------------
 
@@ -707,8 +682,7 @@ class ServiceGateway:
     def _on_attempt_finished(self, record: TaskRecord, state: str, reason: str) -> None:
         self._anti_affinity.pop(record.task.task_id, None)
         if state == CANCELLED:
-            self.stats.hedges_cancelled += 1
-            self.world.metrics.increment(f"serve/{self.name}/hedges_cancelled")
+            self.ledger.record("hedges_cancelled")
         elif (
             state == FAILED
             and self.breakers is not None
@@ -731,11 +705,10 @@ class ServiceGateway:
         # latency and SLO are judged per member against its own arrival.
         for member in dispatch.members:
             latency = self.world.now - member.arrived_at
-            self.stats.completed += 1
+            self.ledger.record("completed")
             self.stats.latencies_s.append(latency)
             self.stats.tenant_latencies_s.setdefault(member.tenant, []).append(latency)
             self.latency_tracker.observe(latency)
-            self.world.metrics.increment(f"serve/{self.name}/completed")
             self.world.metrics.observe(f"serve/{self.name}/latency_s", latency)
             self.world.metrics.observe(
                 f"serve/{self.name}/latency_s/{member.tenant}", latency
@@ -744,11 +717,9 @@ class ServiceGateway:
             if deadline is None or latency <= deadline:
                 self.stats.slo_hits += 1
             else:
-                self.stats.slo_misses += 1
-                self.world.metrics.increment(f"serve/{self.name}/slo_miss")
+                self.ledger.record("slo_misses", metric="slo_miss")
         if dispatch.race is not None and winner is not dispatch.record:
-            self.stats.hedges_won += 1
-            self.world.metrics.increment(f"serve/{self.name}/hedges_won")
+            self.ledger.record("hedges_won")
         if (
             self.breakers is not None
             and winner is not None
@@ -759,18 +730,13 @@ class ServiceGateway:
 
     def _finalize_failure(self, dispatch: _Dispatch, reason: str) -> None:
         dispatch.finalized = True
-        events = self.world.events
         # A batch fails as a unit, but every member gets its own typed
         # failure so the conservation ledger never loses a request.
         for member in dispatch.members:
-            self.stats.failed += 1
-            self.world.metrics.increment(f"serve/{self.name}/failed/{reason}")
-            if events is not None:
-                events.emit(
-                    "serve", "request_failed", severity="warning",
-                    gateway=self.name, request=member.request_id,
-                    tenant=member.tenant, reason=reason,
-                )
+            self.ledger.record(
+                "failed", reason, event="request_failed", severity="warning",
+                request=member.request_id, tenant=member.tenant,
+            )
         self._cleanup(dispatch)
 
     def _cleanup(self, dispatch: _Dispatch) -> None:

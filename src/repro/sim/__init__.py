@@ -9,6 +9,7 @@ from .config import (
 )
 from .engine import ERROR_POLICIES, CallbackFailure, Engine, EventHandle, PeriodicTask
 from .metrics import (
+    Ledger,
     MetricDelta,
     MetricsRegistry,
     SeriesSummary,
@@ -28,6 +29,7 @@ __all__ = [
     "ERROR_POLICIES",
     "Engine",
     "EventHandle",
+    "Ledger",
     "MetricDelta",
     "MetricsRegistry",
     "MobilityConfig",

@@ -3,14 +3,15 @@
 A :class:`MetricsRegistry` holds named counters, gauges, and sample
 series.  Benchmarks and experiments read summaries out of the registry
 after a run; nothing here depends on the engine so the registry can be
-unit-tested in isolation.
+unit-tested in isolation.  A :class:`Ledger` is one owner's outcome
+recorder over its stats object, the registry and the event log.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 
 @dataclass
@@ -380,3 +381,69 @@ class MetricsRegistry:
         for name, count in sorted(self.truncations.items()):
             flat[f"truncated/{name}"] = count
         return flat
+
+
+class Ledger:
+    """One owner's outcome ledger: stats counter, typed reason, metric, event.
+
+    ``stats`` is the owner's counter object (or the owner itself);
+    ``reasons`` maps an outcome to the dict its typed reasons tally in;
+    ``identity`` (``gateway=``, ``cloud=``, ...) tags every event.
+    """
+
+    __slots__ = ("world", "stats", "prefix", "subsystem", "identity", "reasons")
+
+    def __init__(
+        self,
+        world: Any,
+        stats: Any,
+        prefix: str,
+        subsystem: str,
+        reasons: Optional[Dict[str, Dict[str, int]]] = None,
+        **identity: Any,
+    ) -> None:
+        self.world = world
+        self.stats = stats
+        self.prefix = prefix
+        self.subsystem = subsystem
+        self.identity = identity
+        self.reasons = reasons or {}
+
+    def record(
+        self,
+        outcome: str,
+        reason: Optional[str] = None,
+        *,
+        n: int = 1,
+        metric: Optional[str] = None,
+        event: Optional[str] = None,
+        severity: str = "info",
+        **attrs: Any,
+    ) -> None:
+        """Add ``n`` to ``stats.<outcome>``, its reason tally and the metric
+        ``<prefix>/<metric or outcome>[/<reason>]``, then emit ``event``.
+
+        An outcome whose reason dict *is* its stats attribute has no
+        scalar; an unknown outcome raises AttributeError.
+        """
+        stats = self.stats
+        count = getattr(stats, outcome)
+        if reason is None:
+            setattr(stats, outcome, count + n)
+            self.world.metrics.increment(f"{self.prefix}/{metric or outcome}", n)
+        else:
+            tally = self.reasons.get(outcome)
+            if tally is not count:
+                setattr(stats, outcome, count + n)
+            if tally is not None:
+                tally[reason] = tally.get(reason, 0) + n
+            self.world.metrics.increment(f"{self.prefix}/{metric or outcome}/{reason}", n)
+            attrs["reason"] = reason
+        if event is not None:
+            self.emit(event, severity, **attrs)
+
+    def emit(self, event: str, severity: str = "info", **attrs: Any) -> None:
+        """Emit an event that counts nothing (no-op without an event log)."""
+        events = self.world.events
+        if events is not None:
+            events.emit(self.subsystem, event, severity=severity, **self.identity, **attrs)

@@ -17,7 +17,8 @@ substream, so a seeded run replays byte-identically.  Every outcome is
 countered (``sent``/``delivered``/``lost``/``in_flight`` plus per-reason
 breakdowns, a ledger :class:`~repro.chaos.Conservation` checks as
 ``backhaul-conservation``) and mirrored into the metrics registry under
-``tier/backhaul/<name>/``.
+``tier/backhaul/<name>/`` by one :class:`~repro.sim.metrics.Ledger`
+call per outcome.
 
 Fault windows are normally driven by a
 :class:`~repro.faults.backhaul.BackhaulFaultDriver` mapping
@@ -31,6 +32,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional
 
 from ..errors import ConfigurationError
+from ..sim.metrics import Ledger
 from ..sim.world import World
 
 #: Typed reasons a transmission can be refused or dropped.
@@ -76,6 +78,10 @@ class BackhaulLink:
         self.in_flight = 0
         self.loss_reasons: Dict[str, int] = {}
         self.outages = 0
+        self.ledger = Ledger(
+            world, self, f"tier/backhaul/{name}", "tier",
+            reasons={"lost": self.loss_reasons}, link=name,
+        )
 
     # -- fault windows -------------------------------------------------------
 
@@ -86,15 +92,15 @@ class BackhaulLink:
         self._outage_until = (
             float("inf") if duration_s is None else self.world.now + duration_s
         )
-        self.outages += 1
-        self.world.metrics.increment(f"tier/backhaul/{self.name}/outages")
-        self._emit("backhaul_outage", severity="warning", duration_s=duration_s)
+        self.ledger.record(
+            "outages", event="backhaul_outage", severity="warning", duration_s=duration_s
+        )
 
     def end_outage(self) -> None:
         """Restore the link immediately."""
         if self._outage_until is not None:
             self._outage_until = None
-            self._emit("backhaul_restored")
+            self.ledger.emit("backhaul_restored")
 
     def add_loss_window(self, duration_s: float, probability: float) -> None:
         """Elevate loss to ``probability`` for ``duration_s`` seconds."""
@@ -104,7 +110,7 @@ class BackhaulLink:
             raise ConfigurationError("probability must be in [0, 1]")
         self._loss_until = self.world.now + duration_s
         self._loss_window_probability = probability
-        self._emit(
+        self.ledger.emit(
             "backhaul_loss_window", severity="warning",
             duration_s=duration_s, probability=probability,
         )
@@ -115,7 +121,7 @@ class BackhaulLink:
             raise ConfigurationError("duration_s and extra_s must be positive")
         self._jitter_until = self.world.now + duration_s
         self._jitter_window_extra_s = extra_s
-        self._emit(
+        self.ledger.emit(
             "backhaul_jitter_window", severity="warning",
             duration_s=duration_s, extra_s=extra_s,
         )
@@ -165,8 +171,7 @@ class BackhaulLink:
         refusal/loss ``on_lost`` fires synchronously with a typed reason
         from :data:`LOSS_REASONS`.
         """
-        self.sent += 1
-        self.world.metrics.increment(f"tier/backhaul/{self.name}/sent")
+        self.ledger.record("sent")
         if not self.available():
             self._lose("outage", on_lost)
             return False
@@ -183,8 +188,7 @@ class BackhaulLink:
 
         def _arrive() -> None:
             self.in_flight -= 1
-            self.delivered += 1
-            self.world.metrics.increment(f"tier/backhaul/{self.name}/delivered")
+            self.ledger.record("delivered")
             deliver()
 
         self.in_flight += 1
@@ -192,18 +196,9 @@ class BackhaulLink:
         return True
 
     def _lose(self, reason: str, on_lost: Optional[Callable[[str], None]]) -> None:
-        self.lost += 1
-        self.loss_reasons[reason] = self.loss_reasons.get(reason, 0) + 1
-        self.world.metrics.increment(f"tier/backhaul/{self.name}/lost/{reason}")
+        self.ledger.record("lost", reason)
         if on_lost is not None:
             on_lost(reason)
-
-    # -- observability -------------------------------------------------------
-
-    def _emit(self, event: str, severity: str = "info", **attrs: object) -> None:
-        events = self.world.events
-        if events is not None:
-            events.emit("tier", event, severity=severity, link=self.name, **attrs)
 
     def accounting(self) -> Dict[str, int]:
         """Frame conservation counters (``sent == delivered + lost + in flight``)."""

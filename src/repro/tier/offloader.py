@@ -39,9 +39,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from ..core.race import CANCELLED, FAILED, LATE, WON, Race
+from ..core.race import CANCELLED, FAILED, LATE, LIVE, WON, Race
 from ..core.tasks import Task
 from ..errors import ConfigurationError
+from ..sim.metrics import Ledger
 from ..sim.world import World
 from .health import TierHealthTracker
 from .topology import (
@@ -142,7 +143,12 @@ class TieredOffloader:
         self.topology = topology
         self.health = health if health is not None else TierHealthTracker(world)
         self.name = name
-        self.stats = TierStats()
+        stats = self.stats = TierStats()
+        self.ledger = Ledger(
+            world, stats, f"tier/{name}", "tier", offloader=name,
+            reasons={"failed": stats.failure_reasons, "degraded": stats.degraded,
+                     "wins_by_tier": stats.wins_by_tier},
+        )
         self._specs: Dict[str, SpeculativeTask] = {}
         self._resolve_listeners: List[ResolveListener] = []
 
@@ -180,8 +186,7 @@ class TieredOffloader:
             race=race,
         )
         self._specs[task.task_id] = spec
-        self.stats.submitted += 1
-        self.world.metrics.increment(f"tier/{self.name}/submitted")
+        self.ledger.record("submitted")
         tracer = self.world.tracer
         if tracer is not None:
             spec.span = tracer.start_span(
@@ -231,10 +236,8 @@ class TieredOffloader:
             if local is not None and self.health.healthy(local):
                 return [local]
             if remote is not None:
-                self.stats.failovers += 1
-                self.world.metrics.increment(f"tier/{self.name}/failovers")
-                self._emit(
-                    "tier_failover", severity="warning",
+                self.ledger.record(
+                    "failovers", event="tier_failover", severity="warning",
                     task_id=spec.task.task_id, to_tier=remote.name,
                 )
                 return [remote]
@@ -249,20 +252,15 @@ class TieredOffloader:
         if self.world.now + estimate > spec.deadline_at:
             self._degrade(spec, NO_REMOTE_SLACK)
             return [local]
-        self.stats.speculated += 1
-        self.world.metrics.increment(f"tier/{self.name}/speculated")
+        self.ledger.record("speculated")
         return [local, remote]
 
     def _degrade(self, spec: SpeculativeTask, reason: str) -> None:
         """Ledger a speculate collapse to local-only execution."""
         spec.degraded = reason
-        self.stats.degraded[reason] = self.stats.degraded.get(reason, 0) + 1
-        self.world.metrics.increment(f"tier/{self.name}/degraded/{reason}")
-        self._emit(
-            "speculation_degraded",
-            severity="warning",
+        self.ledger.record(
+            "degraded", reason, event="speculation_degraded", severity="warning",
             task_id=spec.task.task_id,
-            reason=reason,
         )
         tracer = self.world.tracer
         if tracer is not None and spec.span is not None:
@@ -281,8 +279,7 @@ class TieredOffloader:
                 attrs={"tier": tier.name, "level": tier.level},
             )
         self.health.note_dispatch(tier)
-        self.stats.attempts_submitted += 1
-        self.world.metrics.increment(f"tier/{self.name}/attempts/{tier.name}")
+        self.ledger.record("attempts_submitted", tier.name, metric="attempts")
         attempt = tier.dispatch(
             spec.task,
             spec.deadline_at,
@@ -306,18 +303,13 @@ class TieredOffloader:
             self.stats.attempts_won += 1
             self._end_attempt_span(attempt, "ok", winner=True)
         elif state == LATE:
-            self.stats.attempts_late += 1
-            self.world.metrics.increment(f"tier/{self.name}/attempts_late")
+            self.ledger.record("attempts_late")
             self._end_attempt_span(attempt, "ok", late=True)
         elif state == CANCELLED:
-            self.stats.attempts_cancelled += 1
-            self.world.metrics.increment(f"tier/{self.name}/attempts_cancelled")
+            self.ledger.record("attempts_cancelled")
             self._end_attempt_span(attempt, "cancelled", reason=reason)
         elif state == FAILED:
-            self.stats.attempts_failed += 1
-            self.world.metrics.increment(
-                f"tier/{self.name}/attempt_failures/{reason}"
-            )
+            self.ledger.record("attempts_failed", reason, metric="attempt_failures")
             self._end_attempt_span(attempt, "error", reason=reason)
 
     def _on_resolved(self, spec: SpeculativeTask, reason: str) -> None:
@@ -333,20 +325,18 @@ class TieredOffloader:
         now = self.world.now
         winner = spec.winner
         assert winner is not None
-        self.stats.completed += 1
-        self.stats.latency_sum_s += now - spec.submitted_at
-        self.stats.wins_by_tier[winner.tier_name] = (
-            self.stats.wins_by_tier.get(winner.tier_name, 0) + 1
+        latency = now - spec.submitted_at
+        self.stats.latency_sum_s += latency
+        self.ledger.record(
+            "completed", event="task_resolved", task_id=spec.task.task_id,
+            winner=winner.tier_name, latency_s=round(latency, 6),
         )
-        self.world.metrics.increment(f"tier/{self.name}/completed")
-        self.world.metrics.increment(f"tier/{self.name}/wins/{winner.tier_name}")
+        self.ledger.record("wins_by_tier", winner.tier_name, metric="wins")
         if spec.deadline_at is not None:
             if now <= spec.deadline_at + 1e-9:
-                self.stats.deadline_hits += 1
-                self.world.metrics.increment(f"tier/{self.name}/deadline_hits")
+                self.ledger.record("deadline_hits")
             else:
-                self.stats.deadline_misses += 1
-                self.world.metrics.increment(f"tier/{self.name}/deadline_misses")
+                self.ledger.record("deadline_misses")
         tracer = self.world.tracer
         if tracer is not None and spec.span is not None:
             if winner.span is not None:
@@ -354,31 +344,19 @@ class TieredOffloader:
             tracer.end_span(
                 spec.span,
                 status="ok",
-                attrs={"winner": winner.tier_name, "latency_s": now - spec.submitted_at},
+                attrs={"winner": winner.tier_name, "latency_s": latency},
             )
-        self._emit(
-            "task_resolved",
-            task_id=spec.task.task_id,
-            winner=winner.tier_name,
-            latency_s=round(now - spec.submitted_at, 6),
-        )
 
     def _fail(self, spec: SpeculativeTask, reason: str) -> None:
-        self.stats.failed += 1
-        self.stats.failure_reasons[reason] = (
-            self.stats.failure_reasons.get(reason, 0) + 1
+        self.ledger.record(
+            "failed", reason, metric="task_failures", event="task_failed",
+            severity="warning", task_id=spec.task.task_id,
         )
-        self.world.metrics.increment(f"tier/{self.name}/task_failures/{reason}")
         if spec.deadline_at is not None:
-            self.stats.deadline_misses += 1
-            self.world.metrics.increment(f"tier/{self.name}/deadline_misses")
+            self.ledger.record("deadline_misses")
         tracer = self.world.tracer
         if tracer is not None and spec.span is not None:
             tracer.end_span(spec.span, status="error", attrs={"reason": reason})
-        self._emit(
-            "task_failed", severity="warning",
-            task_id=spec.task.task_id, reason=reason,
-        )
 
     def _end_attempt_span(
         self, attempt: TierAttempt, status: str, **attrs: object
@@ -386,11 +364,6 @@ class TieredOffloader:
         tracer = self.world.tracer
         if tracer is not None and attempt.span is not None:
             tracer.end_span(attempt.span, status=status, attrs=attrs)
-
-    def _emit(self, event: str, severity: str = "info", **attrs: object) -> None:
-        events = self.world.events
-        if events is not None:
-            events.emit("tier", event, severity=severity, offloader=self.name, **attrs)
 
     # -- conservation surface ------------------------------------------------
 
@@ -412,17 +385,14 @@ class TieredOffloader:
         At any sim instant ``submitted == completed + failed + live``
         and ``attempts_submitted == won + cancelled + failed + late +
         live`` must hold, and ``completed == attempts_won`` (exactly one
-        winner per resolved task); see :attr:`balances`.
+        winner per resolved task); see :attr:`balances`.  ``live`` and
+        ``attempts_live`` are counted from the races themselves, so a
+        task or attempt lost without an outcome breaks a balance.
         """
         s = self.stats
-        live = s.submitted - s.completed - s.failed
-        attempts_live = (
-            s.attempts_submitted
-            - s.attempts_won
-            - s.attempts_cancelled
-            - s.attempts_failed
-            - s.attempts_late
-        )
+        races = [spec.race for spec in self._specs.values()]
+        live = sum(1 for race in races if not race.resolved)
+        attempts_live = sum(race.states.count(LIVE) for race in races)
         return {
             "submitted": s.submitted,
             "completed": s.completed,

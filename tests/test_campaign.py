@@ -422,3 +422,15 @@ class TestSmokeGate:
             for key, vector in baseline["runs"].items()
         }
         assert run.run_vectors() == blessed
+
+    @pytest.mark.parametrize("campaign", ["smoke", "full"])
+    def test_every_expanded_run_has_a_blessed_baseline(self, campaign):
+        """A run with no baseline entry is reported as new and never gated."""
+        repo = pathlib.Path(__file__).resolve().parents[1]
+        spec = CampaignSpec.load(str(repo / "campaigns" / f"{campaign}.json"))
+        baseline = load_baseline_file(
+            str(repo / "campaigns" / "baselines" / f"{campaign}.json")
+        )
+        runs, _skipped = spec.expansion()
+        assert sorted({run.key for run in runs} - set(baseline["runs"])) == []
+        assert sorted({run.cell for run in runs} - set(baseline["cells"])) == []

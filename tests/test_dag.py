@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from repro.chaos import CHAOS_BACKOFF, Conservation, InvariantSuite
+from repro.chaos import CHAOS_BACKOFF, Conservation, InvariantSuite, reset_global_ids
 from repro.core import (
     BacklogEstimator,
     CheckpointHandoverPolicy,
@@ -681,13 +681,7 @@ class TestTracing:
 
 class TestDeterminism:
     def _run_once(self, seed: int):
-        from repro.core.tasks import reset_task_ids
-        from repro.dag.graph import reset_graph_ids
-        from repro.mobility.vehicle import reset_vehicle_ids
-
-        reset_task_ids()
-        reset_vehicle_ids()
-        reset_graph_ids()
+        reset_global_ids()
         world = World(ScenarioConfig(seed=seed))
         _v, cloud = build_cloud(world, members=6, heterogeneous=True)
         scheduler = DagScheduler(

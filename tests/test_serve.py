@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.chaos import Conservation, InvariantSuite
+from repro.chaos import Conservation, InvariantSuite, reset_global_ids
 from repro.chaos.scenarios import stationary_architecture
 from repro.core import (
     CheckpointHandoverPolicy,
@@ -15,12 +15,11 @@ from repro.core import (
     VehicularCloud,
 )
 from repro.core.scheduler import WorkerCandidate
-from repro.core.tasks import TaskState, reset_task_ids
+from repro.core.tasks import TaskState
 from repro.errors import ConfigurationError
 from repro.faults import BackoffPolicy
 from repro.geometry import Vec2
 from repro.mobility import StationaryModel
-from repro.mobility.vehicle import reset_vehicle_ids
 from repro.serve import (
     AdmitAll,
     BatchingPolicy,
@@ -110,8 +109,7 @@ class TestArrivalProcesses:
 
 class TestWorkloadGenerator:
     def _run(self, seed):
-        reset_task_ids()
-        reset_vehicle_ids()
+        reset_global_ids()
         world, _v, cloud = build_cloud(seed=seed)
         gateway = ServiceGateway(world, cloud, name="gw", queue_capacity=None)
         tenants = [
@@ -142,8 +140,7 @@ class TestWorkloadGenerator:
         assert world1.metrics.snapshot() == world2.metrics.snapshot()
 
     def test_start_is_idempotent(self):
-        reset_task_ids()
-        reset_vehicle_ids()
+        reset_global_ids()
         world, _v, cloud = build_cloud()
         gateway = ServiceGateway(world, cloud, name="gw")
         generator = WorkloadGenerator(
@@ -560,8 +557,7 @@ class TestGatewayWiring:
 
     def test_seeded_run_metrics_byte_identical(self):
         def run():
-            reset_task_ids()
-            reset_vehicle_ids()
+            reset_global_ids()
             world, _v, cloud = build_cloud(seed=23, members=6)
             gateway = ServiceGateway(
                 world, cloud, name="gw", queue_capacity=16,

@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+from typing import Dict
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.sim import (
+    Ledger,
     MetricsRegistry,
+    ScenarioConfig,
     SeededRng,
     ToleranceBand,
+    World,
     derive_seed,
     diff_metrics,
     percentile,
@@ -440,3 +446,54 @@ class TestRegistryDiff:
         deltas = current.diff(self._registry(1.0))
         assert deltas["series/lat/count"].classification == "missing_current"
         assert deltas["counter/tasks"].within
+
+
+
+@dataclass
+class _Stats:
+    served: int = 0
+    failed: int = 0
+    failure_reasons: Dict[str, int] = field(default_factory=dict)
+    by_tier: Dict[str, int] = field(default_factory=dict)
+
+
+class TestLedger:
+    def _ledger(self, observed: bool):
+        world = World(ScenarioConfig(seed=1))
+        if observed:
+            world.enable_observability(trace=False)
+        stats = _Stats()
+        reasons = {"failed": stats.failure_reasons, "by_tier": stats.by_tier}
+        return world, stats, Ledger(world, stats, "svc/a", "svc", reasons=reasons, svc="a")
+
+    def test_one_record_updates_stat_reason_and_metric(self):
+        world, stats, ledger = self._ledger(observed=False)
+        ledger.record("served", n=3)
+        ledger.record("failed", "deadline", n=2, metric="task_failures")
+        ledger.record("failed", "cancelled", event="job_failed")  # no event log: no-op
+        ledger.record("by_tier", "edge", metric="wins")  # tallied by reason only
+        assert stats == _Stats(3, 3, {"deadline": 2, "cancelled": 1}, {"edge": 1})
+        assert world.metrics.counters == {
+            "svc/a/served": 3.0,
+            "svc/a/task_failures/deadline": 2.0,
+            "svc/a/failed/cancelled": 1.0,
+            "svc/a/wins/edge": 1.0,
+        }
+
+    def test_events_carry_identity_attrs_and_reason(self):
+        world, _stats, ledger = self._ledger(observed=True)
+        ledger.record("failed", "deadline", event="job_failed", severity="warning", job=7)
+        ledger.record("served")  # no event named: counts only
+        ledger.emit("job_started", job=8)
+        records = world.events.records()
+        assert [(r.subsystem, r.name, r.severity, dict(r.attrs)) for r in records] == [
+            ("svc", "job_failed", "warning", {"svc": "a", "job": 7, "reason": "deadline"}),
+            ("svc", "job_started", "info", {"svc": "a", "job": 8}),
+        ]
+
+    def test_unknown_outcome_fails_loudly(self):
+        world, stats, ledger = self._ledger(observed=True)
+        with pytest.raises(AttributeError):
+            ledger.record("serverd", event="typo")
+        assert stats == _Stats()
+        assert world.metrics.counters == {} and len(world.events) == 0

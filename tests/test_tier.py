@@ -589,6 +589,17 @@ class TestDeterminismAndConservation:
         assert stats.degraded.get(BACKHAUL_DEGRADED, 0) > 0
         assert stats.speculated > 0 and stats.attempts_cancelled > 0
 
+    @pytest.mark.parametrize("counter", ["submitted", "attempts_submitted"])
+    def test_lost_task_or_attempt_breaks_conservation(self, counter):
+        """``live`` counts come from the races, so a submission that
+        never reaches an outcome cannot hide in a derived remainder."""
+        run = tier_smoke(7)
+        assert Conservation(run.offloader).check(run.world.now) == []
+        setattr(run.offloader.stats, counter, getattr(run.offloader.stats, counter) + 1)
+        (violation,) = Conservation(run.offloader).check(run.world.now)
+        assert violation.invariant == "tier-conservation"
+        assert counter in violation.describe()
+
 
 # ---------------------------------------------------------------------------
 # CentralCloud satellite: typed failures and queue estimates
